@@ -475,40 +475,6 @@ void BM_ParallelApd(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelApd)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-void BM_PipelineService(benchmark::State& state) {
-  // Stage-overlap benchmark of the tile-and-ring pipeline (DESIGN.md §11):
-  // a full multi-scan service run, sequential (arg1 = 0) vs pipeline
-  // (arg1 = 1) at the same thread count. With >= 2 free cores the pipeline
-  // rows should sit well below the sequential row at the same thread count
-  // in *wall* time (probe-gen, delivery, classify, and the traceroute
-  // overlap instead of running back to back). On a single-vCPU host wall
-  // times converge — hence MeasureProcessCPUTime: overlap then shows up as
-  // an unchanged CPU total spread over less wall clock, while a scheduling
-  // pathology would inflate the CPU column instead.
-  static auto world = build_test_world(8);
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  const bool pipeline = state.range(1) != 0;
-  constexpr int kScans = 8;
-  for (auto _ : state) {
-    HitlistService::Config cfg;
-    cfg.threads = threads;
-    cfg.pipeline = pipeline;
-    HitlistService service(cfg);
-    service.run(*world, kScans);
-    benchmark::DoNotOptimize(service.history().entries().size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kScans);
-}
-BENCHMARK(BM_PipelineService)
-    ->Args({1, 0})  // sequential baseline
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
 void BM_ApdCandidates(benchmark::State& state) {
   static auto world = build_test_world(6);
   std::vector<Ipv6> input;

@@ -163,15 +163,12 @@ AliasDetector::probe_round(const World& world,
   return round;
 }
 
-std::uint16_t AliasDetector::probe_candidate(const World& world,
-                                             const Prefix& p, ScanDate date,
-                                             std::uint64_t* probes) const {
-  return probe_mask(world, p, date, probes);
-}
-
-AliasDetector::Detection AliasDetector::detect_from_round(
-    std::unordered_map<Prefix, std::uint16_t, PrefixHasher> round,
-    std::uint64_t tested, std::uint64_t probes, ScanDate date) {
+AliasDetector::Detection AliasDetector::detect(const World& world,
+                                               std::span<const Ipv6> input,
+                                               ScanDate date) {
+  const auto cands = candidates(world.rib(), input, cfg_);
+  std::uint64_t probes = 0;
+  auto round = probe_round(world, cands, date, &probes);
   Span span = trace_span(cfg_.metrics, "alias.apd_round", SpanCat::kAlias);
 
   // Merge with up to `history` previous rounds: a sub-prefix counts as
@@ -190,21 +187,12 @@ AliasDetector::Detection AliasDetector::detect_from_round(
   while (history_.size() > static_cast<std::size_t>(cfg_.history))
     history_.pop_front();
 
-  Detection det = finalize(merged, tested, probes);
+  Detection det = finalize(merged, cands.size(), probes);
   span.attr("scan", date.index)
-      .attr("candidates", tested)
+      .attr("candidates", static_cast<std::uint64_t>(cands.size()))
       .attr("probes", probes)
       .attr("aliased", static_cast<std::uint64_t>(det.aliased.size()));
   return det;
-}
-
-AliasDetector::Detection AliasDetector::detect(const World& world,
-                                               std::span<const Ipv6> input,
-                                               ScanDate date) {
-  const auto cands = candidates(world.rib(), input, cfg_);
-  std::uint64_t probes = 0;
-  auto round = probe_round(world, cands, date, &probes);
-  return detect_from_round(std::move(round), cands.size(), probes, date);
 }
 
 AliasDetector::Detection AliasDetector::detect_once(

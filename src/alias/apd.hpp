@@ -79,21 +79,6 @@ class AliasDetector {
                                       std::span<const Ipv6> input,
                                       ScanDate date) const;
 
-  /// Probe one candidate's 16 sub-prefixes (ICMP×2 + TCP/80, merged),
-  /// adding the probes issued to `*probes` — the apd_probe tile's core.
-  /// Pure function of (candidate, date), so lanes may run concurrently.
-  [[nodiscard]] std::uint16_t probe_candidate(const World& world,
-                                              const Prefix& p, ScanDate date,
-                                              std::uint64_t* probes) const;
-
-  /// Complete a detection round whose per-candidate masks were probed
-  /// externally (the pipeline's apd tiles): history merge + push,
-  /// finalize, and the stable alias.apd_round span — the exact tail of
-  /// detect(). `round` must map every tested candidate to its mask.
-  [[nodiscard]] Detection detect_from_round(
-      std::unordered_map<Prefix, std::uint16_t, PrefixHasher> round,
-      std::uint64_t tested, std::uint64_t probes, ScanDate date);
-
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:

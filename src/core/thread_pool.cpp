@@ -1,9 +1,63 @@
 #include "core/thread_pool.hpp"
 
-#include "core/spsc_ring.hpp"
+#include <chrono>
+#include <cstdint>
+
 #include "obs/metrics.hpp"
 
 namespace sixdust {
+
+namespace {
+
+/// Bounded exponential backoff for idle waits: a short busy spin, then
+/// yields, then capped micro-sleeps ("park"). The worker idle loop pauses
+/// with it before parking on the condition variable, so an empty queue
+/// never spin-burns a core. reset() after useful work; pause() when none
+/// was found.
+class Backoff {
+ public:
+  /// Spin rounds before the first yield, yields before the first park.
+  static constexpr int kSpinLimit = 64;
+  static constexpr int kYieldLimit = 16;
+  /// Park duration doubles from 8µs up to this cap.
+  static constexpr int kMaxParkUs = 256;
+
+  void pause() {
+    ++waits_;
+    if (level_ < kSpinLimit) {
+      // A handful of relaxed no-op loads approximates a pause instruction
+      // without per-arch intrinsics.
+      for (int i = 0; i < (1 << (level_ / 16)); ++i) dummy_.load(std::memory_order_relaxed);
+      ++level_;
+      return;
+    }
+    if (level_ < kSpinLimit + kYieldLimit) {
+      ++level_;
+      std::this_thread::yield();
+      return;
+    }
+    ++parks_;
+    const int exp = level_ - kSpinLimit - kYieldLimit;
+    int us = 8 << (exp < 6 ? exp : 6);
+    if (us > kMaxParkUs) us = kMaxParkUs;
+    if (level_ < kSpinLimit + kYieldLimit + 8) ++level_;
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
+  }
+
+  void reset() { level_ = 0; }
+
+  /// Total pause() calls / sleeps taken — volatile telemetry material.
+  [[nodiscard]] std::uint64_t waits() const { return waits_; }
+  [[nodiscard]] std::uint64_t parks() const { return parks_; }
+
+ private:
+  int level_ = 0;
+  std::uint64_t waits_ = 0;
+  std::uint64_t parks_ = 0;
+  std::atomic<int> dummy_{0};
+};
+
+}  // namespace
 
 /// Completion state of one run() call. Heap-held via shared_ptr from every
 /// task and from the waiter, so no lifetime race exists between the last
@@ -69,10 +123,11 @@ void ThreadPool::set_metrics(MetricsRegistry* reg) {
 
 void ThreadPool::worker_loop() {
   // Idle discipline: a bounded exponential spin/yield phase before parking
-  // on the condition variable. Long-lived consumers (pipeline tiles
-  // between ring pushes) typically find the next task within the spin
-  // window; when they don't, the worker parks instead of burning a core —
-  // the spin/park split is visible in the volatile pool.worker_* metrics.
+  // on the condition variable. Back-to-back batches (the per-protocol
+  // fan-out, then each scan's shard slices) typically find the next task
+  // within the spin window; when they don't, the worker parks instead of
+  // burning a core — the spin/park split is visible in the volatile
+  // pool.worker_* metrics.
   for (;;) {
     Task t;
     bool have = false;
@@ -141,9 +196,9 @@ void ThreadPool::run(std::vector<std::function<void()>> tasks) {
   // is what makes nested run() calls deadlock-free: the submitter always
   // makes progress on its own batch. Helping is deliberately batch-scoped:
   // stealing a sibling batch's task from a nested frame can pick up a
-  // long-lived task (a pipeline tile scheduler, say) that cannot finish
-  // until the suspended frame resumes — a livelock (see DESIGN.md §11 and
-  // the PipelineNestedPool regression tests).
+  // long-lived task that cannot finish until the suspended frame resumes —
+  // a livelock (see DESIGN.md §7 and ThreadPoolNestedBatch in
+  // tests/test_parallel.cpp).
   for (;;) {
     Task t;
     {

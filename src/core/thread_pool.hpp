@@ -23,11 +23,11 @@ class Counter;
 /// execution — a pool of size T runs with T-1 background workers plus the
 /// caller, so total concurrency equals the configured thread count, and a
 /// nested run() (a parallel scan dispatched from inside a parallel
-/// protocol fan-out, or from inside a pipeline tile) cannot deadlock: the
-/// nested caller drains *its own batch's* pending tasks while it waits.
-/// Helping is batch-scoped on purpose — stealing sibling-batch tasks from
-/// a suspended frame can execute a long-lived task (e.g. a pipeline tile
-/// scheduler) that depends on the frame it preempted, which livelocks.
+/// protocol fan-out) cannot deadlock: the nested caller drains *its own
+/// batch's* pending tasks while it waits. Helping is batch-scoped on
+/// purpose — stealing sibling-batch tasks from a suspended frame can
+/// execute a long-lived task that depends on the frame it preempted,
+/// which livelocks.
 ///
 /// The pool provides *execution* only; determinism is the callers' job —
 /// they place results into pre-assigned slots and merge in index order

@@ -130,11 +130,6 @@ std::vector<Ipv6> HitlistService::eligible_targets() const {
 
 HitlistService::ScanOutcome HitlistService::step(const World& world,
                                                  ScanDate date) {
-  // Pipeline mode overlaps the probe stages behind SPSC rings; with no
-  // pool there is nothing to overlap with, so fall through to the exact
-  // sequential path (which a one-thread pipeline would only mimic).
-  if (cfg_.pipeline && pool_ != nullptr) return step_pipeline(world, date);
-
   // The step span encloses every phase span below; its simulated window
   // covers the whole scan because each probe stage advances the
   // recorder's clock by its simulated duration before closing its phase.

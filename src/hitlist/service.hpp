@@ -47,16 +47,6 @@ class HitlistService {
     /// hardware core, 1 = the exact sequential path. Output is
     /// byte-identical for every value (see DESIGN.md, "Concurrency model").
     unsigned threads = 1;
-    /// Run each step as a tile-and-ring pipeline (DESIGN.md §11): probe
-    /// generation, delivery, GFW classify, dedup, and the Yarrp
-    /// traceroute execute as cooperatively scheduled tiles linked by
-    /// SPSC rings, overlapping stages the sequential step runs back to
-    /// back. Off (default) = the phase-by-phase sequential path. The
-    /// switch changes scheduling only: hitlist output, stable metrics,
-    /// and the stable trace stream are byte-identical either way, at any
-    /// thread count. Ignored (sequential fallback) when threads resolve
-    /// to 1 — there is nothing to overlap with.
-    bool pipeline = false;
     /// Run telemetry registry shared by every pipeline stage. Null (the
     /// default) makes the service own a private registry — metrics are
     /// always on; injection exists so callers can aggregate several
@@ -145,12 +135,6 @@ class HitlistService {
   /// exclusion; before alias filtering).
   [[nodiscard]] std::vector<Ipv6> eligible_targets() const;
 
-  /// The pipeline-mode topology as a sixdust-topo/1 JSON document
-  /// (descriptor-only tile/ring graphs of the apd and scan pipelines for
-  /// the configured thread count) — the `--topo-out` surface. Valid
-  /// whether or not pipeline mode is enabled.
-  [[nodiscard]] std::string topology_json() const;
-
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
@@ -175,15 +159,6 @@ class HitlistService {
   void init_metrics();
   void record_new_input(std::uint16_t tags);
   void record_outcome(const ScanOutcome& outcome);
-
-  /// Tile-and-ring implementation of one service iteration (selected by
-  /// Config::pipeline; see service_pipeline.cpp and DESIGN.md §11).
-  ScanOutcome step_pipeline(const World& world, ScanDate date);
-  /// APD detection round with probing spread over pipeline tiles;
-  /// byte-identical to apd_.detect() for any lane count.
-  AliasDetector::Detection apd_detect_pipelined(const World& world,
-                                                std::span<const Ipv6> input,
-                                                ScanDate date);
 
   Config cfg_;
   /// Owned when cfg_.metrics is null; metrics_ always points at the live

@@ -193,8 +193,7 @@ void run_obs_stability_arg(FileCtx& ctx) {
   }
 }
 
-constexpr std::string_view kVolatileNamespaces[] = {"serve.", "pool.",
-                                                    "pipeline."};
+constexpr std::string_view kVolatileNamespaces[] = {"serve.", "pool."};
 
 void run_obs_volatile_ns(FileCtx& ctx) {
   for (const RegSite& site : scan_registrations(*ctx.ts)) {
@@ -319,7 +318,7 @@ const std::vector<RuleDef>& rule_defs() {
        scope_src_tools,
        run_obs_stability_arg},
       {{"obs-volatile-ns", Severity::kError,
-        "serve.* / pool.* / pipeline.* metrics must be "
+        "serve.* / pool.* metrics must be "
         "Stability::kVolatile — they describe execution, not the "
         "simulation",
         "register with Stability::kVolatile; if the value really is a "
@@ -364,7 +363,7 @@ std::vector<RegSite> scan_registrations(const TokenStream& ts) {
   const Toks& toks = ts.toks;
 
   // Pass 1: local `name = "literal" + ...` assignments, so prefix-built
-  // names (`prefix = "pipeline." + name_`) still resolve to a leading
+  // names (`prefix = "serve." + name_`) still resolve to a leading
   // literal at the registration site.
   std::map<std::string_view, std::string_view> prefix_vars;
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {

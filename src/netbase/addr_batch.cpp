@@ -320,10 +320,11 @@ void AddrBatch::sort_unique(ThreadPool* pool, MetricsRegistry* reg) {
 
     // Only the runs feeding the first digit matter for its histogram —
     // commonly a single low-word run, so that sweep reads one column.
+    const int first_digit_end =
+        passes.front().shift +
+        static_cast<int>(std::bit_width(passes.front().mask));
     std::size_t hist_runs = 0;
-    while (hist_runs < n_runs &&
-           runs[hist_runs].dst_shift <
-               passes.front().shift + std::bit_width(passes.front().mask))
+    while (hist_runs < n_runs && runs[hist_runs].dst_shift < first_digit_end)
       ++hist_runs;
 
     for (std::size_t p = 0; p < passes.size(); ++p) {

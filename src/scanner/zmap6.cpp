@@ -148,76 +148,6 @@ void trace_scan(MetricsRegistry* reg, const ScanResult& r) {
 
 }  // namespace
 
-ProbeGen::ProbeGen(std::span<const Ipv6> targets, std::uint64_t seed,
-                   Proto proto, const PrefixSet* blocklist)
-    : targets_(targets), blocklist_(blocklist), perm_(targets.size(), seed) {
-  (void)proto;  // folded into `seed` by Zmap6::make_gen
-  if (!targets_.empty()) {
-    end_ = perm_.cycle_length();
-    cur_ = perm_.cycle_element(0);
-  }
-}
-
-bool ProbeGen::next(ProbeBatch& batch, std::size_t max) {
-  batch.indices.clear();
-  batch.blocked = 0;
-  if (pos_ >= end_) return false;
-  // Same walk as scan_shard over arc [pos_, end_): skip out-of-range
-  // cycle positions, count blocklisted targets, emit the rest in order.
-  while (pos_ < end_ && batch.indices.size() < max) {
-    const std::uint64_t index = perm_.cycle_value(cur_);
-    ++pos_;
-    cur_ = perm_.cycle_advance(cur_);
-    if (index >= targets_.size()) continue;  // skipped cycle position
-    if (blocklist_ != nullptr && blocklist_->covers(targets_[index])) {
-      ++batch.blocked;
-      continue;
-    }
-    batch.indices.push_back(static_cast<std::uint32_t>(index));
-  }
-  return true;
-}
-
-ProbeGen Zmap6::make_gen(std::span<const Ipv6> targets, Proto proto) const {
-  return ProbeGen(targets, hash_combine(cfg_.seed, proto_index(proto)), proto,
-                  cfg_.blocklist);
-}
-
-std::uint64_t Zmap6::deliver_batch(const World& world,
-                                   std::span<const Ipv6> targets,
-                                   const ProbeBatch& batch, Proto proto,
-                                   ScanDate date,
-                                   std::vector<ScanRecord>& out) const {
-  std::uint64_t probes_sent = 0;
-  const std::size_t before = out.size();
-  for (const std::uint32_t index : batch.indices) {
-    const Ipv6& t = targets[index];
-    bool answered = false;
-    for (int attempt = 0; attempt <= cfg_.retries && !answered; ++attempt) {
-      ++probes_sent;
-      if (lost(t, proto, date, attempt)) continue;
-      auto rec = probe_one(world, t, proto, date);
-      if (!rec) break;  // target does not answer; retrying won't help
-      out.push_back(std::move(*rec));
-      answered = true;
-    }
-  }
-  const ProtoMetrics& m =
-      proto_metrics_[static_cast<std::size_t>(proto_index(proto))];
-  if (m.sent != nullptr) {
-    m.sent->add(probes_sent);
-    m.answered->add(out.size() - before);
-    m.blocked->add(batch.blocked);
-  }
-  return probes_sent;
-}
-
-void Zmap6::finish_scan(ScanResult& r) const {
-  r.duration_seconds = scan_duration_seconds(r.probes_sent, cfg_.pps);
-  record_scan(r);
-  trace_scan(cfg_.metrics, r);
-}
-
 ScanResult Zmap6::scan(const World& world, std::span<const Ipv6> targets,
                        Proto proto, ScanDate date) const {
   ThreadPool* pool = pool_.get();

@@ -9,7 +9,6 @@
 #include "core/thread_pool.hpp"
 #include "netbase/prefix_set.hpp"
 #include "obs/metrics.hpp"
-#include "scanner/cyclic.hpp"
 #include "topo/world.hpp"
 
 namespace sixdust {
@@ -44,40 +43,6 @@ struct ScanResult {
   /// Simulated wall-clock duration of the run at the configured rate.
   double duration_seconds = 0;
   std::vector<ScanRecord> responsive;
-};
-
-/// One batch of generated probe work for the tile pipeline: target
-/// *indices* (into the scan's target span) in exact sequential probe
-/// order, already blocklist-filtered, plus how many targets the
-/// generator dropped as blocked while producing this batch.
-struct ProbeBatch {
-  std::vector<std::uint32_t> indices;
-  std::uint64_t blocked = 0;
-};
-
-/// Streaming probe-order generator — the gen tile's core. Walks the full
-/// permutation cycle once, in order (concatenating the shard arcs
-/// 0..S-1 of scan_shard in shard order IS one full-cycle walk), so the
-/// batches it emits carry indices in byte-for-byte the sequential
-/// scan's probe order. Single-threaded by construction; one generator
-/// per (targets, proto) lane.
-class ProbeGen {
- public:
-  ProbeGen(std::span<const Ipv6> targets, std::uint64_t seed, Proto proto,
-           const PrefixSet* blocklist);
-
-  /// Fill `batch` (cleared first) with up to `max` target indices.
-  /// Returns false once the cycle is exhausted; the final batch may
-  /// still carry a trailing `blocked` count with no indices.
-  bool next(ProbeBatch& batch, std::size_t max);
-
- private:
-  std::span<const Ipv6> targets_;
-  const PrefixSet* blocklist_;
-  CyclicPermutation perm_;
-  std::uint64_t pos_ = 0;  // current cycle position
-  std::uint64_t end_ = 0;  // one past the last cycle position
-  std::uint64_t cur_ = 0;  // current cycle element
 };
 
 /// ZMapv6-style stateless scanner against the simulated Internet.
@@ -147,30 +112,6 @@ class Zmap6 {
                                                     const Ipv6& target,
                                                     Proto proto,
                                                     ScanDate date) const;
-
-  /// Build the streaming generator for a pipeline scan lane: emits
-  /// ProbeBatches over `targets` in exactly scan()'s probe order.
-  [[nodiscard]] ProbeGen make_gen(std::span<const Ipv6> targets,
-                                  Proto proto) const;
-
-  /// Probe one generated batch with scan_shard's loss/retry discipline,
-  /// appending responsive records to `out` in probe order; returns how
-  /// many probes were sent. Adds the same stable per-shard counters as a
-  /// sequential shard slice (commutative adds — totals are identical for
-  /// any batching). The deliver tile's core; lanes for different protos
-  /// may run concurrently.
-  std::uint64_t deliver_batch(const World& world,
-                              std::span<const Ipv6> targets,
-                              const ProbeBatch& batch, Proto proto,
-                              ScanDate date,
-                              std::vector<ScanRecord>& out) const;
-
-  /// Complete a merged pipeline-mode scan: derive the simulated duration
-  /// from the probe count at the configured rate, bump the per-scan
-  /// stable counters, and emit the stable scanner.scan span — the exact
-  /// tail of scan(), factored out so the pipeline barrier can run it at
-  /// the deterministic clock point.
-  void finish_scan(ScanResult& r) const;
 
   [[nodiscard]] const Config& config() const { return cfg_; }
 

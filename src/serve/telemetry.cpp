@@ -412,42 +412,23 @@ std::string LiveTelemetry::stats_json() const {
   }
   out += "],";
 
-  // Pipeline ring / tile utilization and pool task accounting, summed
-  // over every labelled instance in the registry.
-  out += "\"rings\":{";
+  // Shared pool task accounting (volatile pool.* counters).
+  out += "\"pool\":{";
   {
-    std::uint64_t full = 0, empty = 0, steps = 0, idle = 0, pushed = 0;
-    std::uint64_t pool_tasks = 0, pool_parks = 0;
+    std::uint64_t tasks = 0, parks = 0;
     if (cfg_.metrics != nullptr) {
       const MetricsSnapshot snap = cfg_.metrics->snapshot();
       for (const MetricSample& m : snap.samples) {
         if (m.kind != MetricKind::kCounter) continue;
-        const std::string_view n = m.name;
-        if (n.rfind("pipeline.", 0) == 0) {
-          if (n.find(".ring_full_stalls") != std::string_view::npos)
-            full += m.value;
-          else if (n.find(".ring_empty_stalls") != std::string_view::npos)
-            empty += m.value;
-          else if (n.find(".ring_pushed") != std::string_view::npos)
-            pushed += m.value;
-          else if (n.find(".tile_steps") != std::string_view::npos)
-            steps += m.value;
-          else if (n.find(".tile_idle_polls") != std::string_view::npos)
-            idle += m.value;
-        } else if (n == "pool.tasks") {
-          pool_tasks = m.value;
-        } else if (n == "pool.worker_parks") {
-          pool_parks = m.value;
+        if (m.name == "pool.tasks") {
+          tasks = m.value;
+        } else if (m.name == "pool.worker_parks") {
+          parks = m.value;
         }
       }
     }
-    append_u64_field(out, "ring_pushed", pushed);
-    append_u64_field(out, "ring_full_stalls", full);
-    append_u64_field(out, "ring_empty_stalls", empty);
-    append_u64_field(out, "tile_steps", steps);
-    append_u64_field(out, "tile_idle_polls", idle);
-    append_u64_field(out, "pool_tasks", pool_tasks);
-    append_u64_field(out, "pool_worker_parks", pool_parks, false);
+    append_u64_field(out, "tasks", tasks);
+    append_u64_field(out, "worker_parks", parks, false);
   }
   out += "},";
 

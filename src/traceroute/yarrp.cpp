@@ -8,21 +8,6 @@
 
 namespace sixdust {
 
-namespace {
-
-void trace_run_span(MetricsRegistry* reg, ScanDate date,
-                    const Yarrp::TraceResult& r) {
-  trace_span(reg, "traceroute.run", SpanCat::kTraceroute)
-      .attr("scan", date.index)
-      .attr("targets", r.targets_traced)
-      .attr("probes", r.probes_sent)
-      .attr("hops", static_cast<std::uint64_t>(r.responsive_hops.size()))
-      .attr("gaps",
-            static_cast<std::uint64_t>(r.last_hops_unreachable.size()));
-}
-
-}  // namespace
-
 void Yarrp::init_metrics() {
   MetricsRegistry* reg = cfg_.metrics;
   if (reg == nullptr) return;
@@ -77,19 +62,6 @@ void Yarrp::trace_slice(const World& world, std::span<const Ipv6> sample,
 Yarrp::TraceResult Yarrp::trace(const World& world,
                                 std::span<const Ipv6> targets,
                                 ScanDate date) const {
-  TraceResult result = run(world, targets, date);
-  finish_run(date, result);
-  return result;
-}
-
-void Yarrp::finish_run(ScanDate date, const TraceResult& r) const {
-  record_run(r);
-  trace_run_span(cfg_.metrics, date, r);
-}
-
-Yarrp::TraceResult Yarrp::run(const World& world,
-                              std::span<const Ipv6> targets,
-                              ScanDate date) const {
   // Budget-limited sample in permuted order (stateless, like Yarrp's
   // random probing order). Drawing the sample is a cheap permutation
   // walk; only the tracing itself is worth parallelizing.
@@ -103,36 +75,43 @@ Yarrp::TraceResult Yarrp::run(const World& world,
 
   ThreadPool* pool = pool_.get();
   const std::size_t chunks = parallel_chunks(pool, count);
-  if (chunks <= 1) {
-    TraceResult result;
-    trace_slice(world, sample, date, result);
-    return result;
-  }
-
-  // Each slice dedups its own hops in first-seen order; merging the
-  // slices in slice order with a global first-seen dedup reconstructs the
-  // sequential discovery order exactly (a hop's first occurrence lives in
-  // the earliest slice that saw it).
-  auto parts = ordered_map<TraceResult>(pool, chunks, [&](std::size_t c) {
-    const auto [lo, hi] = chunk_range(count, chunks, c);
-    TraceResult local;
-    trace_slice(world,
-                std::span<const Ipv6>(sample).subspan(lo, hi - lo), date,
-                local);
-    return local;
-  });
-
   TraceResult result;
-  std::unordered_set<Ipv6, Ipv6Hasher> seen;
-  for (TraceResult& part : parts) {
-    result.targets_traced += part.targets_traced;
-    result.probes_sent += part.probes_sent;
-    for (const Ipv6& hop : part.responsive_hops)
-      if (seen.insert(hop).second) result.responsive_hops.push_back(hop);
-    result.last_hops_unreachable.insert(
-        result.last_hops_unreachable.end(),
-        part.last_hops_unreachable.begin(), part.last_hops_unreachable.end());
+  if (chunks <= 1) {
+    trace_slice(world, sample, date, result);
+  } else {
+    // Each slice dedups its own hops in first-seen order; merging the
+    // slices in slice order with a global first-seen dedup reconstructs
+    // the sequential discovery order exactly (a hop's first occurrence
+    // lives in the earliest slice that saw it).
+    auto parts = ordered_map<TraceResult>(pool, chunks, [&](std::size_t c) {
+      const auto [lo, hi] = chunk_range(count, chunks, c);
+      TraceResult local;
+      trace_slice(world,
+                  std::span<const Ipv6>(sample).subspan(lo, hi - lo), date,
+                  local);
+      return local;
+    });
+    std::unordered_set<Ipv6, Ipv6Hasher> seen;
+    for (TraceResult& part : parts) {
+      result.targets_traced += part.targets_traced;
+      result.probes_sent += part.probes_sent;
+      for (const Ipv6& hop : part.responsive_hops)
+        if (seen.insert(hop).second) result.responsive_hops.push_back(hop);
+      result.last_hops_unreachable.insert(
+          result.last_hops_unreachable.end(),
+          part.last_hops_unreachable.begin(),
+          part.last_hops_unreachable.end());
+    }
   }
+
+  record_run(result);
+  trace_span(cfg_.metrics, "traceroute.run", SpanCat::kTraceroute)
+      .attr("scan", date.index)
+      .attr("targets", result.targets_traced)
+      .attr("probes", result.probes_sent)
+      .attr("hops", static_cast<std::uint64_t>(result.responsive_hops.size()))
+      .attr("gaps", static_cast<std::uint64_t>(
+                        result.last_hops_unreachable.size()));
   return result;
 }
 

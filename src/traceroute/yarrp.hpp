@@ -57,20 +57,6 @@ class Yarrp {
                                   std::span<const Ipv6> targets,
                                   ScanDate date) const;
 
-  /// Pure compute half of trace(): sample + trace + deterministic merge,
-  /// without the run counters or the stable traceroute.run span. The
-  /// pipeline's yarrp tile runs this concurrently with the scan lanes,
-  /// then calls finish_run() at the barrier — after the scan-phase clock
-  /// advance — so the span opens at the same simulated instant as the
-  /// sequential path's.
-  [[nodiscard]] TraceResult run(const World& world,
-                                std::span<const Ipv6> targets,
-                                ScanDate date) const;
-
-  /// Record the run counters and emit the stable traceroute.run span.
-  /// trace() == run() + finish_run().
-  void finish_run(ScanDate date, const TraceResult& r) const;
-
  private:
   /// Trace `sample` in order, appending to `out` and deduplicating hops
   /// against out.responsive_hops only (local first-seen order).

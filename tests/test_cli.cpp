@@ -1,6 +1,6 @@
 // Tests for the CLI argument parser shared by the sixdust-* tools, and
-// spawn-level checks of the daemon tools' fail-fast paths (bad --listen,
-// unwritable output files, unreachable server).
+// spawn-level checks of the tools' fail-fast paths (unknown options, bad
+// --listen, unwritable output files, unreachable server).
 
 #include <gtest/gtest.h>
 
@@ -59,7 +59,31 @@ TEST(Cli, LaterValueWins) {
   EXPECT_EQ(args.get_u64("seed", 0), 2u);
 }
 
-// --- daemon tool fail-fast paths (spawned binaries) -------------------------
+constexpr const char* kUsage = R"(usage: tool [options]
+  --scans N          number of scans
+  --world-scale X    world scale
+  --verify           fingerprint
+  --help
+)";
+
+TEST(Cli, DocumentedOptionsPassTheUsageCheck) {
+  const auto args = parse({"--scans", "12", "--world-scale=0.5", "--verify"});
+  args.usage_on_help(kUsage);  // returns: every option is listed
+  EXPECT_EQ(args.get_u64("scans", 0), 12u);
+}
+
+TEST(Cli, UndocumentedOptionExitsTwo) {
+  EXPECT_EXIT(parse({"--scans", "1", "--pipeline"}).usage_on_help(kUsage),
+              ::testing::ExitedWithCode(2), "unknown option --pipeline");
+}
+
+TEST(Cli, OptionMustMatchAWholeUsageToken) {
+  // "--scan" is a prefix of the documented "--scans", not an option.
+  EXPECT_EXIT(parse({"--scan", "3"}).usage_on_help(kUsage),
+              ::testing::ExitedWithCode(2), "unknown option --scan");
+}
+
+// --- tool fail-fast paths (spawned binaries) ---------------------------------
 
 #ifndef SIXDUST_BIN_DIR
 #error "SIXDUST_BIN_DIR must be defined for the tool spawn tests"
@@ -74,6 +98,22 @@ int run_tool(const std::string& name, const std::string& args) {
       std::system((bin + " " + args + " >/dev/null 2>&1").c_str());
   if (status == -1 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
+}
+
+TEST(CliHitlistTool, RejectsRemovedPipelineFlags) {
+  const int pipeline = run_tool("sixdust-hitlist", "--pipeline --scans 1");
+  if (pipeline == -2) GTEST_SKIP() << "sixdust-hitlist not built";
+  EXPECT_EQ(pipeline, 2);
+  EXPECT_EQ(run_tool("sixdust-hitlist", "--topo-out x"), 2);
+}
+
+TEST(CliHitlistTool, AcceptsDocumentedFlags) {
+  // A bad --log-level dies with 1 before the world build; reaching that
+  // check means --tail-ases passed the usage check (which exits 2).
+  const int code =
+      run_tool("sixdust-hitlist", "--tail-ases 5 --log-level bogus");
+  if (code == -2) GTEST_SKIP() << "sixdust-hitlist not built";
+  EXPECT_EQ(code, 1);
 }
 
 TEST(CliServeTool, DiesNonzeroOnBadListenSpec) {

@@ -268,10 +268,10 @@ TEST(LintRules, ObsVolatileNamespacesMustRegisterVolatile) {
 
 TEST(LintRules, ObsVolatileNamespaceResolvesPrefixVariables) {
   // The name is built through a local variable with a literal prefix; the
-  // extractor still sees the pipeline.* namespace behind it.
+  // extractor still sees the serve.* namespace behind it.
   const LintResult r = lint_one(
       "src/a.cpp",
-      "const std::string name = \"pipeline.\" + stage;\n"
+      "const std::string name = \"serve.\" + stage;\n"
       "reg.counter(name, Stability::kStable);\n");
   EXPECT_TRUE(has_at(r, "obs-volatile-ns", 2));
 }

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alias/apd.hpp"
@@ -55,6 +57,29 @@ TEST(ThreadPool, NestedRunDoesNotDeadlock) {
     });
   pool.run(std::move(outer));
   EXPECT_EQ(total.load(), 12);
+}
+
+TEST(ThreadPoolNestedBatch, HelperDrainsOwnBatchNotSiblings) {
+  // Three sibling tasks on two threads: whichever thread runs t_nested
+  // must execute its nested batch itself. The old any-batch helper could
+  // instead pick up t_waiter (a sibling that only finishes once t_nested
+  // completed) and livelock.
+  ThreadPool pool(2);
+  std::atomic<bool> nested_ran{false};
+  std::atomic<bool> release{false};
+  std::vector<std::function<void()>> batch;
+  batch.push_back([&] {  // occupies one thread until the story resolves
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  batch.push_back([&] {  // t_nested
+    pool.run({[&] { nested_ran.store(true, std::memory_order_release); }});
+    release.store(true, std::memory_order_release);
+  });
+  batch.push_back([&] {  // t_waiter: depends on t_nested's completion
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  pool.run(std::move(batch));
+  EXPECT_TRUE(nested_ran.load());
 }
 
 TEST(Parallel, ChunkRangeTilesExactly) {

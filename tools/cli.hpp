@@ -1,18 +1,21 @@
 #pragma once
 
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sixdust::cli {
 
 /// Minimal long-option parser for the sixdust command-line tools:
 /// `--name value` or `--name=value`; bare `--flag` yields "true";
-/// positional arguments are collected in order.
+/// positional arguments are collected in order. usage_on_help() rejects
+/// any option its usage text does not list.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -62,14 +65,37 @@ class Args {
     return positional_;
   }
 
-  /// Prints usage and exits when --help was passed.
+  /// Prints usage and exits 0 when --help was passed. Otherwise exits 2
+  /// on the first option that does not appear as `--name` in `text`, so a
+  /// removed or misspelt flag fails loudly instead of being ignored.
   void usage_on_help(const char* text) const {
-    if (!has("help")) return;
-    std::fputs(text, stdout);
-    std::exit(0);
+    if (has("help")) {
+      std::fputs(text, stdout);
+      std::exit(0);
+    }
+    for (const auto& [name, value] : options_) {
+      if (documented(text, name)) continue;
+      std::fprintf(stderr, "unknown option --%s (see --help)\n", name.c_str());
+      std::exit(2);
+    }
   }
 
  private:
+  /// True when `--name` occurs in `usage` as a whole option token.
+  static bool documented(std::string_view usage, const std::string& name) {
+    if (name.empty()) return false;
+    const std::string flag = "--" + name;
+    for (auto at = usage.find(flag); at != std::string_view::npos;
+         at = usage.find(flag, at + 1)) {
+      const std::size_t end = at + flag.size();
+      const char next = end < usage.size() ? usage[end] : ' ';
+      if (std::isalnum(static_cast<unsigned char>(next)) == 0 &&
+          next != '-' && next != '_')
+        return true;
+    }
+    return false;
+  }
+
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };

@@ -26,6 +26,7 @@ usage: sixdust-apd [options]
   --loss P           probe loss probability (default 0.01)
   --world-seed N     world seed (default 42)
   --world-scale X    world scale (default 0.1)
+  --tail-ases N      procedural long-tail operator ASes (default 200)
   --verify           fingerprint the detected prefixes (TCP + TBT)
   --out FILE         write the aliased prefix list
   --help

@@ -19,6 +19,7 @@ usage: sixdust-diff BEFORE.bin AFTER.bin [options]
                      (sixdust-hitlist prints it; default 0)
   --world-seed N     world seed for AS attribution (default 42)
   --world-scale X    world scale (default 0.1)
+  --tail-ases N      procedural long-tail operator ASes (default 200)
   --help
 )";
 

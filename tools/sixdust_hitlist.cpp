@@ -26,15 +26,11 @@ usage: sixdust-hitlist [options]
   --scans N          number of monthly scans to run (default 12, max 46)
   --world-seed N     world seed (default 42)
   --world-scale X    world scale (default 0.1 = test world)
+  --tail-ases N      procedural long-tail operator ASes (default 200)
   --no-gfw-filter    run the pre-2022 pipeline (published, spiky view)
   --gfw-filter-from N  filter deployment scan (default 43)
   --threads N        worker threads for the probe stages, 0 = all cores
                      (default 1; results are identical for every value)
-  --pipeline         run each step as a tile-and-ring pipeline (overlaps
-                     probe-gen, scan, GFW classify, and traceroute;
-                     byte-identical output, needs --threads >= 2)
-  --topo-out FILE    write the pipeline topology (tiles, rings, links) as
-                     JSON and exit
   --blocklist FILE   prefix list of opt-out networks
   --outdir DIR       publish data files into DIR (address/prefix lists,
                      markdown report, timeline + AS-distribution CSVs)
@@ -83,19 +79,12 @@ int main(int argc, char** argv) {
   sc.gfw_filter_from_scan =
       static_cast<int>(args.get_u64("gfw-filter-from", 43));
   sc.threads = static_cast<unsigned>(args.get_u64("threads", 1));
-  sc.pipeline = args.has("pipeline");
   if (args.has("blocklist")) {
     auto prefixes = read_prefix_file(args.get("blocklist"));
     if (!prefixes) cli::die("cannot read blocklist");
     sc.blocklist_prefixes = std::move(*prefixes);
   }
   HitlistService service(sc);
-
-  if (args.has("topo-out")) {
-    write_file_or_die(args.get("topo-out"), service.topology_json());
-    std::printf("topology written to %s\n", args.get("topo-out").c_str());
-    return 0;
-  }
 
   const int scans = static_cast<int>(args.get_u64("scans", 12));
   for (int i = 0; i < scans && i < kTimelineScans; ++i) {

@@ -30,6 +30,7 @@ usage: sixdust-scan [options]
   --scan N           scan date index 0..45 (default 45)
   --world-seed N     world seed (default 42)
   --world-scale X    world scale (default 0.1 = test world)
+  --tail-ases N      procedural long-tail operator ASes (default 200)
   --loss P           probe loss probability (default 0.01)
   --retries N        retransmissions (default 1)
   --threads N        scanner threads, 0 = all cores (default 1; output is

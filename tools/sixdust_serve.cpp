@@ -35,7 +35,6 @@ usage: sixdust-serve [options]
   --world-seed N     world seed (default 42)
   --world-scale X    world scale (default 0.1 = test world)
   --threads N        worker threads for the probe stages, 0 = all cores
-  --pipeline         run each epoch as a tile-and-ring pipeline
   --no-gfw-filter    run the pre-2022 pipeline
   --blocklist FILE   prefix list of opt-out networks
   --snapshot-log FILE  write the per-epoch record stream
@@ -114,7 +113,6 @@ int main(int argc, char** argv) {
   HitlistService::Config sc;
   sc.enable_gfw_filter = !args.has("no-gfw-filter");
   sc.threads = static_cast<unsigned>(args.get_u64("threads", 1));
-  sc.pipeline = args.has("pipeline");
   if (args.has("blocklist")) {
     auto prefixes = read_prefix_file(args.get("blocklist"));
     if (!prefixes) cli::die("cannot read blocklist");

@@ -36,6 +36,7 @@ usage: sixdust-tga --algorithm NAME [options]
   --scan             scan the candidates and report the hit rate
   --world-seed N     world seed (default 42)
   --world-scale X    world scale (default 0.1)
+  --tail-ases N      procedural long-tail operator ASes (default 200)
   --out FILE         write generated candidates
   --metrics-out FILE write the tga.* telemetry snapshot as JSON
   --help
@@ -51,7 +52,7 @@ void write_file_or_die(const std::string& path, const std::string& content) {
   if (!f.good()) cli::die("cannot write '" + path + "'");
 }
 
-std::unique_ptr<TargetGenerator> make_generator(const std::string& name) {
+std::unique_ptr<TargetGenerator> generator_named(const std::string& name) {
   if (name == "6tree") return std::make_unique<SixTree>(SixTree::Config{});
   if (name == "6graph") return std::make_unique<SixGraph>(SixGraph::Config{});
   if (name == "6gan") return std::make_unique<SixGan>(SixGan::Config{});
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
   cli::Args args(argc, argv);
   args.usage_on_help(kUsage);
 
-  auto generator = make_generator(args.get("algorithm", "6tree"));
+  auto generator = generator_named(args.get("algorithm", "6tree"));
   if (generator == nullptr)
     cli::die("unknown algorithm '" + args.get("algorithm") + "'");
 

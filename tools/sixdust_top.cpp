@@ -1,8 +1,8 @@
 // sixdust-top: curses-free terminal watcher for a live sixdust-serve
 // daemon. Polls the HTTP telemetry endpoint's /stats and renders per-op
-// QPS, server-side latency quantiles, epoch age, reader-lane state, and
-// tile/ring utilization deltas. One screenful per poll; --raw appends
-// frames instead of clearing (for logs and tests).
+// QPS, server-side latency quantiles, epoch age, and reader-lane state.
+// One screenful per poll; --raw appends frames instead of clearing (for
+// logs and tests).
 
 #include <cstdio>
 
@@ -51,7 +51,6 @@ struct Frame {
   std::uint64_t slow = 0;
   std::uint64_t overruns = 0;
   std::vector<OpRow> ops;
-  std::uint64_t tile_steps = 0, tile_idle = 0, ring_full = 0, ring_empty = 0;
   std::uint64_t lanes = 0, lane_conns = 0, lane_inbox = 0;
 };
 
@@ -90,12 +89,6 @@ bool parse_frame(const std::string& body, Frame* out) {
       row.max = num(v.find("max_us"));
       out->ops.push_back(std::move(row));
     }
-  if (const JsonValue* r = doc->find("rings"); r != nullptr) {
-    out->tile_steps = u64(r->find("tile_steps"));
-    out->tile_idle = u64(r->find("tile_idle_polls"));
-    out->ring_full = u64(r->find("ring_full_stalls"));
-    out->ring_empty = u64(r->find("ring_empty_stalls"));
-  }
   if (const JsonValue* l = doc->find("lanes"); l != nullptr && l->is_array()) {
     out->lanes = l->arr.size();
     for (const JsonValue& lane : l->arr) {
@@ -141,18 +134,6 @@ void render(const Frame& f, const Frame* prev, bool raw) {
                 qps, op.p50, op.p90, op.p99, op.p999, op.max);
   }
 
-  const std::uint64_t steps_d =
-      prev != nullptr && f.tile_steps >= prev->tile_steps
-          ? f.tile_steps - prev->tile_steps
-          : f.tile_steps;
-  const std::uint64_t idle_d = prev != nullptr && f.tile_idle >= prev->tile_idle
-                                   ? f.tile_idle - prev->tile_idle
-                                   : f.tile_idle;
-  const double util =
-      steps_d + idle_d > 0
-          ? 100.0 * static_cast<double>(steps_d) /
-                static_cast<double>(steps_d + idle_d)
-          : 0.0;
   std::printf("lanes %llu (conns %llu, inbox %llu)   slow %llu   "
               "overruns %llu\n",
               static_cast<unsigned long long>(f.lanes),
@@ -160,12 +141,6 @@ void render(const Frame& f, const Frame* prev, bool raw) {
               static_cast<unsigned long long>(f.lane_inbox),
               static_cast<unsigned long long>(f.slow),
               static_cast<unsigned long long>(f.overruns));
-  std::printf("tiles: +%llu steps, +%llu idle (%.0f%% busy)   "
-              "ring stalls: full %llu, empty %llu\n",
-              static_cast<unsigned long long>(steps_d),
-              static_cast<unsigned long long>(idle_d), util,
-              static_cast<unsigned long long>(f.ring_full),
-              static_cast<unsigned long long>(f.ring_empty));
   std::fflush(stdout);
 }
 
