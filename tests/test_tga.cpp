@@ -19,6 +19,14 @@
 #include "tga/sixveclm.hpp"
 
 namespace sixdust {
+
+// Print a generator parameter by name. gtest's default shared_ptr printer
+// shows the heap address, which puts a different test name in every
+// discovery run. Found by ADL, so it lives in TargetGenerator's namespace.
+void PrintTo(const std::shared_ptr<TargetGenerator>& g, std::ostream* os) {
+  *os << g->name();
+}
+
 namespace {
 
 /// A synthetic provider plan: /32 with subnets 0..63 at nibbles 8-9 and
