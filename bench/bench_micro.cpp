@@ -464,10 +464,11 @@ void BM_ParallelApd(benchmark::State& state) {
       t.push_back(pfx("240e::/24").random_address(0xA9D + i));
     return t;
   }();
+  // No history: every iteration is the same single round.
   AliasDetector apd(AliasDetector::Config{
-      .threads = static_cast<unsigned>(state.range(0))});
+      .history = 0, .threads = static_cast<unsigned>(state.range(0))});
   for (auto _ : state) {
-    auto d = apd.detect_once(*world, input, ScanDate{0});
+    auto d = apd.detect(*world, input, ScanDate{0});
     benchmark::DoNotOptimize(d);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -475,20 +476,38 @@ void BM_ParallelApd(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelApd)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-void BM_ApdCandidates(benchmark::State& state) {
+void run_apd_candidates(benchmark::State& state,
+                        const std::vector<Ipv6>& input) {
   static auto world = build_test_world(6);
-  std::vector<Ipv6> input;
-  for (std::uint64_t i = 0; i < 10000; ++i)
-    input.push_back(pfx("240e::/24").random_address(i));
   AliasDetector::Config cfg;
   for (auto _ : state) {
     auto c = AliasDetector::candidates(world->rib(), input, cfg);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          10000);
+                          static_cast<std::int64_t>(input.size()));
+}
+
+void BM_ApdCandidates(benchmark::State& state) {
+  // 10k addresses spread over 240e::/24: one per /64, so only rules (a)
+  // and (b) produce candidates.
+  std::vector<Ipv6> input;
+  for (std::uint64_t i = 0; i < 10000; ++i)
+    input.push_back(pfx("240e::/24").random_address(i));
+  run_apd_candidates(state, input);
 }
 BENCHMARK(BM_ApdCandidates);
+
+void BM_ApdCandidatesDense(benchmark::State& state) {
+  // 10k addresses in 20 /64s, 500 each inside one /104: rule (c) emits a
+  // candidate at every level from /68 to /104 of every /64.
+  const std::uint64_t hi = ip("2001:db8::").hi();
+  std::vector<Ipv6> input;
+  for (std::uint64_t i = 0; i < 10000; ++i)
+    input.push_back(Ipv6::from_words(hi + i % 20, mix64(i) >> 40));
+  run_apd_candidates(state, input);
+}
+BENCHMARK(BM_ApdCandidatesDense);
 
 const std::vector<Ipv6>& tga_seeds() {
   static const std::vector<Ipv6> seeds = [] {

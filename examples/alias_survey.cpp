@@ -30,7 +30,7 @@ int main() {
 
   // Multi-level detection (BGP prefixes + /64s + longer levels).
   AliasDetector detector(AliasDetector::Config{});
-  const auto detection = detector.detect_once(*world, input, date);
+  const auto detection = detector.detect(*world, input, date);
   std::printf("aliased prefixes detected: %zu (%llu probes)\n\n",
               detection.aliased.size(),
               static_cast<unsigned long long>(detection.probes_sent));

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/parallel.hpp"
+#include "netbase/addr_batch.hpp"
 #include "netbase/hash.hpp"
 #include "obs/trace.hpp"
 
@@ -11,34 +12,35 @@ namespace sixdust {
 std::vector<Prefix> AliasDetector::candidates(const Rib& rib,
                                               std::span<const Ipv6> input,
                                               const Config& cfg) {
-  // Rule (b): every /64 with input presence. Rule (c) — prefixes longer
-  // than /64 with >= 100 addresses — can only trigger inside a /64 that
-  // itself holds >= 100 addresses, so the expensive per-level counting is
-  // restricted to those (two-pass; the input is dominated by one-address
-  // /64s such as traceroute-discovered router addresses).
-  std::unordered_map<Prefix, std::size_t, PrefixHasher> per64;
-  per64.reserve(input.size());
-  for (const auto& a : input) per64[Prefix::make(a, 64)]++;
-
-  std::unordered_map<Prefix, std::size_t, PrefixHasher> longer;
-  for (const auto& a : input) {
-    auto it = per64.find(Prefix::make(a, 64));
-    if (it == per64.end() || it->second < cfg.long_prefix_min_addrs) continue;
-    for (int len = 68; len <= cfg.max_len; len += 4)
-      longer[Prefix::make(a, len)]++;
-  }
+  // Sorted distinct addresses: each run of equal hi words is one rule-(b)
+  // /64, and inside a /64 each run of equal lo >> (128 - len) is one
+  // prefix of length len. Rule (c) — prefixes longer than /64 with >= 100
+  // addresses — can only trigger inside a /64 run that long.
+  AddrBatch batch(input);
+  batch.sort_unique();
+  const auto hi = batch.hi();
+  const auto lo = batch.lo();
+  const std::size_t min_addrs = cfg.long_prefix_min_addrs;
 
   std::vector<Prefix> out;
-  out.reserve(per64.size() + longer.size() / 4 + rib.routes().size());
+  for (std::size_t i = 0, end = 0; i < hi.size(); i = end) {
+    end = i + 1;
+    while (end < hi.size() && hi[end] == hi[i]) ++end;
+    out.push_back(Prefix::make(Ipv6::from_words(hi[i], 0), 64));
+    if (end - i < min_addrs) continue;
+    for (int len = 68; len <= cfg.max_len; len += 4) {
+      const int shift = 128 - len;
+      for (std::size_t j = i, next = i; j < end; j = next) {
+        next = j + 1;
+        while (next < end && (lo[next] >> shift) == (lo[j] >> shift)) ++next;
+        if (next - j >= min_addrs)
+          out.push_back(Prefix::make(Ipv6::from_words(hi[i], lo[j]), len));
+      }
+    }
+  }
 
   // Rule (a): BGP prefixes.
   for (const auto& r : rib.routes()) out.push_back(r.prefix);
-
-  // sixdust-lint: allow(det-unordered-iter) — collection; sorted below.
-  for (const auto& [p, c] : per64) out.push_back(p);
-  // sixdust-lint: allow(det-unordered-iter) — collection; sorted below.
-  for (const auto& [p, c] : longer)
-    if (c >= cfg.long_prefix_min_addrs) out.push_back(p);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -101,17 +103,15 @@ std::uint16_t AliasDetector::probe_mask(const World& world, const Prefix& p,
 }
 
 AliasDetector::Detection AliasDetector::finalize(
-    const std::unordered_map<Prefix, std::uint16_t, PrefixHasher>& masks,
-    std::uint64_t tested, std::uint64_t probes) const {
+    std::span<const Prefix> cands, std::span<const std::uint16_t> masks,
+    std::uint64_t probes) const {
   Detection det;
-  det.candidates_tested = tested;
+  det.candidates_tested = cands.size();
   det.probes_sent = probes;
 
   std::vector<Prefix> aliased;
-  // sixdust-lint: allow(det-unordered-iter) — the fully-responsive
-  // prefixes are collected then sorted (len, value) before aggregation.
-  for (const auto& [p, m] : masks)
-    if (m == 0xffff) aliased.push_back(p);
+  for (std::size_t i = 0; i < cands.size(); ++i)
+    if (masks[i] == 0xffff) aliased.push_back(cands[i]);
   // Aggregate: shortest first; drop candidates covered by an already
   // accepted (shorter) aliased prefix.
   std::sort(aliased.begin(), aliased.end(),
@@ -129,7 +129,7 @@ AliasDetector::Detection AliasDetector::finalize(
   det.aliased_set.freeze();
   if (m_rounds_ != nullptr) {
     m_rounds_->inc();
-    m_candidates_->add(tested);
+    m_candidates_->add(det.candidates_tested);
     m_probes_->add(probes);
     m_aliased_->add(det.aliased.size());
     m_probes_per_round_->record(probes);
@@ -137,10 +137,9 @@ AliasDetector::Detection AliasDetector::finalize(
   return det;
 }
 
-std::unordered_map<Prefix, std::uint16_t, PrefixHasher>
-AliasDetector::probe_round(const World& world,
-                           const std::vector<Prefix>& cands, ScanDate date,
-                           std::uint64_t* probes) const {
+std::vector<std::uint16_t> AliasDetector::probe_round(
+    const World& world, std::span<const Prefix> cands, ScanDate date,
+    std::uint64_t* probes) const {
   // Masks land in position-addressed slots and per-chunk probe counters
   // are summed in chunk order, so the round is identical for any thread
   // count (probe loss is a pure function of the target, not of timing).
@@ -155,55 +154,38 @@ AliasDetector::probe_round(const World& world,
                    masks[i] = probe_mask(world, cands[i], date, &local);
                  chunk_probes[chunk] = local;
                });
-
-  std::unordered_map<Prefix, std::uint16_t, PrefixHasher> round;
-  round.reserve(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) round[cands[i]] = masks[i];
   for (const std::uint64_t c : chunk_probes) *probes += c;
-  return round;
+  return masks;
 }
 
 AliasDetector::Detection AliasDetector::detect(const World& world,
                                                std::span<const Ipv6> input,
                                                ScanDate date) {
-  const auto cands = candidates(world.rib(), input, cfg_);
+  auto cands = candidates(world.rib(), input, cfg_);
   std::uint64_t probes = 0;
-  auto round = probe_round(world, cands, date, &probes);
+  auto masks = probe_round(world, cands, date, &probes);
   Span span = trace_span(cfg_.metrics, "alias.apd_round", SpanCat::kAlias);
 
   // Merge with up to `history` previous rounds: a sub-prefix counts as
-  // responsive if it responded in any merged round.
-  std::unordered_map<Prefix, std::uint16_t, PrefixHasher> merged = round;
-  for (const auto& old : history_) {
-    // sixdust-lint: allow(det-unordered-iter) — each entry is OR-merged
-    // with its own lookup in the old round; entries never interact.
-    for (auto& [p, m] : merged) {
-      auto it = old.find(p);
-      if (it != old.end()) m |= it->second;
+  // responsive if it responded in any merged round. Every round's
+  // candidates are sorted, so each merge is one forward join.
+  std::vector<std::uint16_t> merged = masks;
+  for (const Round& old : history_) {
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      while (j < old.cands.size() && old.cands[j] < cands[i]) ++j;
+      if (j < old.cands.size() && old.cands[j] == cands[i])
+        merged[i] |= old.masks[j];
     }
   }
+  Detection det = finalize(cands, merged, probes);
 
-  history_.push_back(std::move(round));
+  history_.push_back(Round{std::move(cands), std::move(masks)});
   while (history_.size() > static_cast<std::size_t>(cfg_.history))
     history_.pop_front();
 
-  Detection det = finalize(merged, cands.size(), probes);
   span.attr("scan", date.index)
-      .attr("candidates", static_cast<std::uint64_t>(cands.size()))
-      .attr("probes", probes)
-      .attr("aliased", static_cast<std::uint64_t>(det.aliased.size()));
-  return det;
-}
-
-AliasDetector::Detection AliasDetector::detect_once(
-    const World& world, std::span<const Ipv6> input, ScanDate date) const {
-  Span span = trace_span(cfg_.metrics, "alias.apd_round", SpanCat::kAlias);
-  const auto cands = candidates(world.rib(), input, cfg_);
-  std::uint64_t probes = 0;
-  const auto round = probe_round(world, cands, date, &probes);
-  Detection det = finalize(round, cands.size(), probes);
-  span.attr("scan", date.index)
-      .attr("candidates", static_cast<std::uint64_t>(cands.size()))
+      .attr("candidates", det.candidates_tested)
       .attr("probes", probes)
       .attr("aliased", static_cast<std::uint64_t>(det.aliased.size()));
   return det;

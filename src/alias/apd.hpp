@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "asdb/rib.hpp"
@@ -56,7 +56,8 @@ class AliasDetector {
   /// Share an executor with the other probe stages (null = sequential).
   void set_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
 
-  /// Candidate prefixes per the three rules above.
+  /// Candidate prefixes per the three rules above, sorted and unique. Each
+  /// distinct input address counts once towards rule (c)'s threshold.
   [[nodiscard]] static std::vector<Prefix> candidates(
       const Rib& rib, std::span<const Ipv6> input, const Config& cfg);
 
@@ -70,14 +71,10 @@ class AliasDetector {
   };
 
   /// Run one detection round on `date`, merging with the detector's stored
-  /// history (call once per scan to mirror the service's cadence).
+  /// history (call once per scan to mirror the service's cadence). A fresh
+  /// detector's first call is a single round with nothing to merge.
   [[nodiscard]] Detection detect(const World& world,
                                  std::span<const Ipv6> input, ScanDate date);
-
-  /// Stateless single-round detection (no history) — used by tests.
-  [[nodiscard]] Detection detect_once(const World& world,
-                                      std::span<const Ipv6> input,
-                                      ScanDate date) const;
 
   [[nodiscard]] const Config& config() const { return cfg_; }
 
@@ -87,23 +84,29 @@ class AliasDetector {
                                          ScanDate date,
                                          std::uint64_t* probes) const;
 
-  [[nodiscard]] Detection finalize(
-      const std::unordered_map<Prefix, std::uint16_t, PrefixHasher>& masks,
-      std::uint64_t tested, std::uint64_t probes) const;
+  /// Verdicts for `cands` from their merged `masks` (aligned by index).
+  [[nodiscard]] Detection finalize(std::span<const Prefix> cands,
+                                   std::span<const std::uint16_t> masks,
+                                   std::uint64_t probes) const;
 
   [[nodiscard]] bool lost(const Ipv6& a, ScanDate d, int proto_tag) const;
 
-  /// Probe all candidates (in parallel when a pool is set) into a
-  /// per-prefix mask map; adds the probes issued to `*probes`.
-  [[nodiscard]] std::unordered_map<Prefix, std::uint16_t, PrefixHasher>
-  probe_round(const World& world, const std::vector<Prefix>& cands,
-              ScanDate date, std::uint64_t* probes) const;
+  /// Probe all candidates (in parallel when a pool is set) into masks
+  /// aligned with `cands`; adds the probes issued to `*probes`.
+  [[nodiscard]] std::vector<std::uint16_t> probe_round(
+      const World& world, std::span<const Prefix> cands, ScanDate date,
+      std::uint64_t* probes) const;
 
   void init_metrics();
 
   Config cfg_;
   std::shared_ptr<ThreadPool> pool_;
-  std::deque<std::unordered_map<Prefix, std::uint16_t, PrefixHasher>> history_;
+  /// One past round: its sorted candidates and their masks.
+  struct Round {
+    std::vector<Prefix> cands;
+    std::vector<std::uint16_t> masks;
+  };
+  std::deque<Round> history_;
 
   Counter* m_rounds_ = nullptr;
   Counter* m_candidates_ = nullptr;

@@ -8,7 +8,7 @@ namespace sixdust {
 
 AliasedRegion::AliasedRegion(Config cfg) : cfg_(std::move(cfg)) {
   for (const auto& p : cfg_.prefixes) coverage_.add(p);
-  sparse_sets_.resize(cfg_.prefixes.size());
+  sparse_units_.resize(cfg_.prefixes.size());
 }
 
 std::uint32_t AliasedRegion::sparse_count_at(ScanDate d) const {
@@ -30,22 +30,27 @@ Prefix AliasedRegion::sparse_unit(std::size_t prefix_idx,
 
 bool AliasedRegion::sparse_member(std::size_t pi, const Ipv6& a,
                                   std::uint32_t want) const {
-  const std::uint64_t key = Prefix::mask(a, 64).hi();
+  const auto& units = sparse_units_[pi];
+  const auto member = [&] {
+    const auto it = units.find(Prefix::mask(a, 64).hi());
+    return it != units.end() && it->second < want;
+  };
   {
     std::shared_lock lk(sparse_mutex_);
-    if (sparse_built_for_ >= want) return sparse_sets_[pi].contains(key);
+    if (sparse_built_for_ >= want) return member();
   }
   std::unique_lock lk(sparse_mutex_);
   if (sparse_built_for_ < want) {
     for (std::size_t i = 0; i < cfg_.prefixes.size(); ++i) {
-      auto& set = sparse_sets_[i];
-      set.reserve(want * 2);
+      auto& map = sparse_units_[i];
+      map.reserve(want * 2);
+      // emplace keeps the first, i.e. smallest, index of a repeated /64.
       for (std::uint32_t j = sparse_built_for_; j < want; ++j)
-        set.insert(sparse_unit(i, j).base().hi());
+        map.emplace(sparse_unit(i, j).base().hi(), j);
     }
     sparse_built_for_ = want;
   }
-  return sparse_sets_[pi].contains(key);
+  return member();
 }
 
 std::optional<Prefix> AliasedRegion::unit_of(const Ipv6& a,

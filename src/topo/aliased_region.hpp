@@ -1,7 +1,7 @@
 #pragma once
 
 #include <shared_mutex>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "netbase/prefix_set.hpp"
 #include "topo/deployment.hpp"
@@ -92,18 +92,20 @@ class AliasedRegion final : public Deployment {
   [[nodiscard]] std::optional<Prefix> unit_of(const Ipv6& a, ScanDate d) const;
 
   /// Extend the lazy active-/64 lookup to cover `want` units and test
-  /// membership of `a`'s /64 in prefix `pi` — thread-safe (host() runs
-  /// concurrently on the parallel scan path; the cache grows append-only
-  /// under a writer lock and is a pure memo, so growth order is
-  /// irrelevant).
+  /// whether `a`'s /64 is one of the first `want` units of prefix `pi` —
+  /// thread-safe (host() runs concurrently on the parallel scan path; the
+  /// cache grows append-only under a writer lock and stores unit indices,
+  /// so its answers do not depend on which dates were probed before).
   [[nodiscard]] bool sparse_member(std::size_t pi, const Ipv6& a,
                                    std::uint32_t want) const;
 
   Config cfg_;
   PrefixSet coverage_;
-  // Lazily built lookup of active /64 base words per configured prefix.
+  // Lazily built lookup per configured prefix: active /64 base word ->
+  // smallest unit index j that produces it.
   mutable std::shared_mutex sparse_mutex_;
-  mutable std::vector<std::unordered_set<std::uint64_t>> sparse_sets_;
+  mutable std::vector<std::unordered_map<std::uint64_t, std::uint32_t>>
+      sparse_units_;
   mutable std::uint32_t sparse_built_for_ = 0;
 };
 

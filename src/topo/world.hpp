@@ -29,7 +29,11 @@ namespace sixdust {
 /// The world is almost entirely a pure function of (address, date, seed).
 /// The two deliberate pieces of mutable state are the per-host PMTU caches
 /// (the side channel exploited by the Too Big Trick) and the log of our
-/// controlled name server (the Sec. 4.2 validation experiment).
+/// controlled name server (the Sec. 4.2 validation experiment). The lazy
+/// deployment memos are not state in this sense: `IspPool` keys its draw
+/// by epoch and `AliasedRegion` stores the unit index of every active /64,
+/// so a probe on date d answers the same whichever dates were probed
+/// before.
 ///
 /// Thread-safety contract (see DESIGN.md, "Concurrency model"): the const
 /// probe surface — icmp_echo, tcp_syn, dns_query, quic_probe, probe,

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "alias/apd.hpp"
 #include "alias/tbt.hpp"
 #include "alias/tcp_fp.hpp"
+#include "netbase/hash.hpp"
 #include "topo/aliased_region.hpp"
 #include "topo/world_builder.hpp"
 
@@ -64,6 +67,85 @@ TEST_F(AliasTest, CandidateRules) {
   EXPECT_EQ(bgp_cands, world_->rib().prefix_count());
 }
 
+/// Reference candidate construction: count every distinct address once
+/// per prefix in a map, then apply rules (a)-(c) directly.
+std::vector<Prefix> reference_candidates(const Rib& rib,
+                                         std::vector<Ipv6> input,
+                                         const AliasDetector::Config& cfg) {
+  std::sort(input.begin(), input.end());
+  input.erase(std::unique(input.begin(), input.end()), input.end());
+  std::map<Prefix, std::size_t> counts;
+  std::vector<Prefix> out;
+  for (const auto& a : input) {
+    out.push_back(Prefix::make(a, 64));
+    for (int len = 68; len <= cfg.max_len; len += 4)
+      ++counts[Prefix::make(a, len)];
+  }
+  for (const auto& [p, c] : counts)
+    if (c >= cfg.long_prefix_min_addrs) out.push_back(p);
+  for (const auto& r : rib.routes()) out.push_back(r.prefix);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<std::string> strs(const std::vector<Prefix>& prefixes) {
+  std::vector<std::string> out;
+  for (const auto& p : prefixes) out.push_back(p.str());
+  return out;
+}
+
+TEST_F(AliasTest, CandidatesMatchReferenceOnDenseInputs) {
+  const AliasDetector::Config cfg;  // 100-address threshold, up to /120
+  const auto has = [](const std::vector<Prefix>& cands, const char* p) {
+    return std::binary_search(cands.begin(), cands.end(), pfx(p));
+  };
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    std::vector<Ipv6> input;
+    // 99 vs 100 distinct addresses under one /120: one short of the
+    // threshold at every level, and exactly at it.
+    for (std::uint64_t i = 0; i < 99; ++i)
+      input.push_back(ip("2001:db8:a:1::1200").plus(i));
+    for (std::uint64_t i = 0; i < 100; ++i)
+      input.push_back(ip("2001:db8:a:2::3400").plus(i));
+    // 60 distinct addresses, each listed twice: still below the threshold.
+    for (int rep = 0; rep < 2; ++rep)
+      for (std::uint64_t i = 0; i < 60; ++i)
+        input.push_back(ip("2001:db8:a:3::").plus(i));
+    // Nested clusters: random sizes at random depths inside dense /64s.
+    // Narrow clusters repeat addresses, which must count once.
+    for (std::uint64_t k = 0; k < 12; ++k) {
+      const std::uint64_t h = hash_combine(seed, k);
+      const std::uint64_t hi = ip("2001:db8:b::").hi() | (h % 4);
+      const int len = 72 + 4 * static_cast<int>((h >> 8) % 12);
+      const std::uint64_t base = mix64(h) & ~(~std::uint64_t{0} >> (len - 64));
+      const std::uint64_t n = 50 + (h >> 16) % 350;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t low = mix64(hash_combine(h, i)) >> (len - 64);
+        input.push_back(Ipv6::from_words(hi, base | low));
+      }
+    }
+    // Sparse one-address /64s.
+    for (std::uint64_t i = 0; i < 300; ++i)
+      input.push_back(pfx("2600:3c00::/32").random_address(seed * 1000 + i));
+
+    const auto cands = AliasDetector::candidates(world_->rib(), input, cfg);
+    const auto expected = reference_candidates(world_->rib(), input, cfg);
+    EXPECT_EQ(strs(cands), strs(expected)) << "seed " << seed;
+    EXPECT_TRUE(std::adjacent_find(cands.begin(), cands.end(),
+                                   [](const Prefix& a, const Prefix& b) {
+                                     return !(a < b);
+                                   }) == cands.end())
+        << "not sorted and unique";
+    EXPECT_TRUE(has(cands, "2001:db8:a:1::/64"));
+    EXPECT_FALSE(has(cands, "2001:db8:a:1::/68"));
+    EXPECT_FALSE(has(cands, "2001:db8:a:1::1200/120"));
+    EXPECT_TRUE(has(cands, "2001:db8:a:2::/68"));
+    EXPECT_TRUE(has(cands, "2001:db8:a:2::3400/120"));
+    EXPECT_FALSE(has(cands, "2001:db8:a:3::/68"));
+  }
+}
+
 TEST_F(AliasTest, DetectsTruthAliasedUnitsWithInputPresence) {
   const ScanDate d{45};
   const auto units = truth_units(d);
@@ -76,7 +158,7 @@ TEST_F(AliasTest, DetectsTruthAliasedUnitsWithInputPresence) {
     input.push_back(pfx("2600:3c00::/32").random_address(i));  // Linode noise
 
   AliasDetector det(AliasDetector::Config{.seed = 1, .loss = 0.0});
-  const auto detection = det.detect_once(*world_, input, d);
+  const auto detection = det.detect(*world_, input, d);
 
   // Every truth unit must be covered by a detected aliased prefix.
   for (const auto& u : units)
@@ -100,7 +182,7 @@ TEST_F(AliasTest, ShorterAliasedPrefixSubsumesContainedCandidates) {
     input.push_back(epicup.random_address(static_cast<std::uint64_t>(i)));
 
   AliasDetector det(AliasDetector::Config{.seed = 1, .loss = 0.0});
-  const auto detection = det.detect_once(*world_, input, d);
+  const auto detection = det.detect(*world_, input, d);
   bool found28 = false;
   for (const auto& p : detection.aliased) {
     if (p == epicup) found28 = true;
@@ -119,7 +201,7 @@ TEST_F(AliasTest, HistoryMergingRecoversLoss) {
 
   // Single lossy round: some units are missed.
   AliasDetector lossy_once(AliasDetector::Config{.seed = 2, .loss = 0.25});
-  const auto once = lossy_once.detect_once(*world_, input, d);
+  const auto once = lossy_once.detect(*world_, input, d);
 
   // With history over several rounds, detection converges to complete.
   AliasDetector lossy_hist(AliasDetector::Config{.seed = 2, .loss = 0.25});
@@ -136,6 +218,54 @@ TEST_F(AliasTest, HistoryMergingRecoversLoss) {
   EXPECT_GT(missed_once, 0u);  // 25 % loss definitely breaks single rounds
   EXPECT_LT(missed_hist, missed_once);
   EXPECT_LE(missed_hist, units.size() / 50);
+}
+
+TEST_F(AliasTest, HistoryMergesPrefixesMissingFromAnInterimRound) {
+  // Sparse /64 units are candidates only while the input holds an address
+  // in them. Drop half of them from round 2: round 3 must still merge
+  // their round-1 masks, as if round 2 had never run.
+  std::vector<Ipv6> all;
+  std::vector<Ipv6> kept;
+  std::vector<Prefix> dropped;
+  for (const auto& dep : world_->deployments()) {
+    const auto* region = dynamic_cast<const AliasedRegion*>(dep.get());
+    if (region == nullptr || region->config().sparse64_count == 0) continue;
+    for (const auto& u : region->truth_aliased_units(ScanDate{43})) {
+      const Ipv6 a = u.random_address(0x5EED);
+      all.push_back(a);
+      if (all.size() % 2 == 0) {
+        kept.push_back(a);
+      } else {
+        dropped.push_back(u);
+      }
+    }
+  }
+  ASSERT_GT(dropped.size(), 20u);
+
+  const AliasDetector::Config cfg{.seed = 4, .loss = 0.25};
+  AliasDetector gap(cfg);
+  (void)gap.detect(*world_, all, ScanDate{43});
+  (void)gap.detect(*world_, kept, ScanDate{44});
+  const auto merged = gap.detect(*world_, all, ScanDate{45});
+
+  AliasDetector two_rounds(cfg);
+  (void)two_rounds.detect(*world_, all, ScanDate{43});
+  const auto expected = two_rounds.detect(*world_, all, ScanDate{45});
+
+  const auto single = AliasDetector(cfg).detect(*world_, all, ScanDate{45});
+
+  const auto found = [](const AliasDetector::Detection& det, const Prefix& u) {
+    return std::find(det.aliased.begin(), det.aliased.end(), u) !=
+           det.aliased.end();
+  };
+  std::size_t found_merged = 0;
+  std::size_t found_single = 0;
+  for (const auto& u : dropped) {
+    EXPECT_EQ(found(merged, u), found(expected, u)) << u.str();
+    found_merged += found(merged, u) ? 1 : 0;
+    found_single += found(single, u) ? 1 : 0;
+  }
+  EXPECT_GT(found_merged, found_single);  // round 1 filled in lost probes
 }
 
 TEST_F(AliasTest, TcpFingerprintsUniformWithinAliasedPrefixes) {

@@ -201,7 +201,7 @@ TEST(Health, TraceSummaryReadsChromeTrace) {
     Span s = rec.span("scanner.scan", SpanCat::kScanner);
     rec.sim_advance_us(1000);
   }
-  rec.span("service.step", SpanCat::kService);
+  (void)rec.span("service.step", SpanCat::kService);
   const auto summary = trace_summary(rec.chrome_json());
   ASSERT_TRUE(summary.has_value());
   EXPECT_NE(summary->find("scanner"), std::string::npos);

@@ -72,7 +72,9 @@ TEST(LintLexer, StringAndCharContentsAreNotCode) {
   const TokenStream ts =
       lex("auto s = \"std::thread t; t.detach();\"; char c = ':';");
   for (const Tok& t : ts.toks)
-    if (t.kind == TokKind::kIdent) EXPECT_NE(t.text, "detach");
+    if (t.kind == TokKind::kIdent) {
+      EXPECT_NE(t.text, "detach");
+    }
   ASSERT_GE(ts.toks.size(), 4u);
   EXPECT_EQ(ts.toks[3].kind, TokKind::kString);
 }

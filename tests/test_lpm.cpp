@@ -170,7 +170,9 @@ TEST(LpmVisitOrder, LexicographicAndInsertionOrderIndependent) {
     const int* a = ffwd.lookup(probe);
     const int* b = fshuf.lookup(probe);
     ASSERT_EQ(a != nullptr, b != nullptr) << probe.str();
-    if (a != nullptr) EXPECT_EQ(*a, *b) << probe.str();
+    if (a != nullptr) {
+      EXPECT_EQ(*a, *b) << probe.str();
+    }
   }
 }
 

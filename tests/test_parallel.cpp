@@ -214,11 +214,11 @@ TEST_F(ParallelScanTest, ScanIsThreadCountInvariant) {
 
 TEST_F(ParallelScanTest, ApdDetectionIsThreadCountInvariant) {
   AliasDetector sequential(AliasDetector::Config{});
-  const auto base = sequential.detect_once(*world_, targets_, ScanDate{2});
+  const auto base = sequential.detect(*world_, targets_, ScanDate{2});
   EXPECT_GT(base.candidates_tested, 0u);
 
   AliasDetector parallel(AliasDetector::Config{.threads = 8});
-  const auto out = parallel.detect_once(*world_, targets_, ScanDate{2});
+  const auto out = parallel.detect(*world_, targets_, ScanDate{2});
   EXPECT_EQ(out.aliased, base.aliased);
   EXPECT_EQ(out.candidates_tested, base.candidates_tested);
   EXPECT_EQ(out.probes_sent, base.probes_sent);

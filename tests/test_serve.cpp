@@ -340,7 +340,9 @@ RunArtifacts run_epochs(const World& world, unsigned threads, int scans,
         std::size_t i = 0;
         while (!traffic_stop.load(std::memory_order_relaxed)) {
           const auto res = serve::http_get(*spec, paths[i++ % 4], 2000);
-          if (res.has_value()) EXPECT_NE(res->status, 0);
+          if (res.has_value()) {
+            EXPECT_NE(res->status, 0);
+          }
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
       });
@@ -364,7 +366,9 @@ RunArtifacts run_epochs(const World& world, unsigned threads, int scans,
         }
         if (!r) return;  // daemon shut down mid-request
         if (r->epoch != serve::kNoEpoch) {
-          if (have_epoch) EXPECT_GE(r->epoch, last_epoch);
+          if (have_epoch) {
+            EXPECT_GE(r->epoch, last_epoch);
+          }
           last_epoch = r->epoch;
           have_epoch = true;
         }
@@ -591,7 +595,9 @@ TEST(ServeSnapshotConcurrency, EngineQueriesStayCoherentAcrossSwaps) {
         ASSERT_EQ(resp.payload.size(), 4u + 6 * 8u);
         const std::uint32_t epoch = serve::get_u32(resp.payload.data());
         ASSERT_EQ(epoch, resp.epoch);
-        if (have_last) ASSERT_GE(epoch, last);
+        if (have_last) {
+          ASSERT_GE(epoch, last);
+        }
         last = epoch;
         have_last = true;
         observed[r].fetch_add(1, std::memory_order_relaxed);

@@ -315,6 +315,27 @@ TEST(AliasedRegion, SparseGrowthActivatesMoreUnits) {
     EXPECT_TRUE(region.host(u.random_address(9), ScanDate{4}).has_value());
 }
 
+TEST(AliasedRegion, SparseMembershipIgnoresLaterDatesProbedFirst) {
+  AliasedRegion::Config cfg;
+  cfg.asn = 65003;
+  cfg.prefixes = {pfx("2600:1f00::/40")};
+  cfg.sparse64_count = 4;
+  cfg.sparse64_growth = 4;
+  AliasedRegion probed(cfg);
+  const auto units = probed.truth_aliased_units(ScanDate{40});
+  ASSERT_EQ(units.size(), 164u);
+  const auto members = [&](const AliasedRegion& region, ScanDate d) {
+    std::size_t n = 0;
+    for (const auto& u : units)
+      if (region.host(u.random_address(5), d).has_value()) ++n;
+    return n;
+  };
+  EXPECT_EQ(members(probed, ScanDate{40}), 164u);
+  // Date 40 built the lookup for all 164 units; date 0 has only 4.
+  EXPECT_EQ(members(probed, ScanDate{0}), 4u);
+  EXPECT_EQ(members(AliasedRegion(cfg), ScanDate{0}), 4u);
+}
+
 TEST(AliasedRegion, HonorsPtbFlagPropagates) {
   AliasedRegion::Config cfg;
   cfg.asn = 65003;
@@ -464,6 +485,29 @@ TEST_F(WorldTest, PmtuCacheDrivesFragmentation) {
   world_->reset_pmtu();
   auto after_reset = world_->icmp_echo(a, IcmpEchoRequest{1300}, d);
   EXPECT_FALSE(after_reset->fragmented);
+}
+
+TEST(WorldPurity, SparseRegionAnswersDoNotDependOnProbeHistory) {
+  // Probe the paper-scale world's sparse aliased units at a late date,
+  // then at date 0: the answers must match a world never probed before.
+  const auto probed = build_world(WorldConfig{});
+  const auto fresh = build_world(WorldConfig{});
+  std::vector<Ipv6> targets;
+  for (const auto& dep : probed->deployments()) {
+    const auto* region = dynamic_cast<const AliasedRegion*>(dep.get());
+    if (region == nullptr || region->config().sparse64_count == 0) continue;
+    for (const auto& u : region->truth_aliased_units(ScanDate{45}))
+      targets.push_back(u.random_address(11));
+  }
+  ASSERT_GT(targets.size(), 1000u);
+  for (const auto& a : targets)
+    (void)probed->probe(a, Proto::Icmp, ScanDate{45});
+  std::size_t differ = 0;
+  for (const auto& a : targets)
+    if (probed->probe(a, Proto::Icmp, ScanDate{0}) !=
+        fresh->probe(a, Proto::Icmp, ScanDate{0}))
+      ++differ;
+  EXPECT_EQ(differ, 0u) << "of " << targets.size();
 }
 
 TEST_F(WorldTest, RibAndRegistryAreConsistent) {

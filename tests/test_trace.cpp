@@ -108,7 +108,7 @@ TEST(TraceSpan, SimulatedClockAndDurations) {
 TEST(TraceRecorder, RingOverflowDropsOldestAndCounts) {
   TraceRecorder rec(/*ring_capacity=*/4);
   for (int i = 0; i < 10; ++i)
-    rec.span("t.s" + std::to_string(i), SpanCat::kOther);
+    (void)rec.span("t.s" + std::to_string(i), SpanCat::kOther);
   const auto spans = rec.collect();
   ASSERT_EQ(spans.size(), 4u);
   // Oldest dropped: the survivors are the last four, in push order.
@@ -119,9 +119,9 @@ TEST(TraceRecorder, RingOverflowDropsOldestAndCounts) {
 
 TEST(TraceExport, StableStreamFiltersSortsAndHasSchema) {
   TraceRecorder rec;
-  rec.span("t.zeta", SpanCat::kOther);
-  rec.span("t.alpha", SpanCat::kOther);
-  rec.span("t.volatile", SpanCat::kOther, Stability::kVolatile);
+  (void)rec.span("t.zeta", SpanCat::kOther);
+  (void)rec.span("t.alpha", SpanCat::kOther);
+  (void)rec.span("t.volatile", SpanCat::kOther, Stability::kVolatile);
   const std::string stream = rec.stable_stream();
   EXPECT_NE(stream.find("sixdust-trace-stable/1"), std::string::npos);
   EXPECT_EQ(stream.find("t.volatile"), std::string::npos);
@@ -139,7 +139,7 @@ TEST(TraceExport, ChromeJsonIsValidAndCarriesSpans) {
     Span s = rec.span("t.event \"quoted\"", SpanCat::kScanner);
     s.attr("proto", "udp53");
   }
-  rec.span("t.volatile", SpanCat::kOther, Stability::kVolatile);
+  (void)rec.span("t.volatile", SpanCat::kOther, Stability::kVolatile);
   const std::string json = rec.chrome_json();
 
   const auto doc = json_parse(json);
