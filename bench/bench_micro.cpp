@@ -11,6 +11,8 @@
 #include <unordered_set>
 
 #include "alias/apd.hpp"
+#include "core/parallel.hpp"
+#include "core/thread_pool.hpp"
 #include "hitlist/service.hpp"
 #include "netbase/addr_batch.hpp"
 #include "netbase/frozen_lpm.hpp"
@@ -257,6 +259,57 @@ void BM_WorldIcmpProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorldIcmpProbe);
+
+void BM_WorldProbeFresh(benchmark::State& state) {
+  // The APD probe shape on targets the world has never been asked about:
+  // one fresh random address in each of the 16 sub-prefixes of every
+  // candidate, ICMP tried twice, then TCP/80. Every iteration draws new
+  // targets, so a per-target memo in World would only add misses here.
+  // Arg is the pool size (1 = no pool).
+  static auto world = build_test_world(10);
+  static const std::vector<Prefix> cands = [] {
+    std::vector<KnownAddress> known;
+    world->enumerate_known(ScanDate{10}, known);
+    std::vector<Ipv6> input;
+    for (const auto& k : known) input.push_back(k.addr);
+    return AliasDetector::candidates(world->rib(), input,
+                                     AliasDetector::Config{});
+  }();
+  const ScanDate d{10};
+  const auto pool = ThreadPool::create(static_cast<unsigned>(state.range(0)));
+  const std::size_t chunks = pool == nullptr ? 1 : 4 * pool->size();
+  std::vector<std::uint64_t> chunk_probes(chunks);
+  std::uint64_t salt = 0;
+  std::uint64_t probes = 0;
+  for (auto _ : state) {
+    ++salt;
+    parallel_for(pool.get(), cands.size(), chunks,
+                 [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+                   std::uint64_t local = 0;
+                   for (std::size_t i = lo; i < hi; ++i)
+                     for (unsigned s = 0; s < 16; ++s) {
+                       const Ipv6 target =
+                           cands[i].subprefix(s, 4).random_address(salt);
+                       bool responded = false;
+                       for (int attempt = 0; attempt < 2 && !responded;
+                            ++attempt) {
+                         ++local;
+                         responded =
+                             world->icmp_echo(target, IcmpEchoRequest{}, d)
+                                 .has_value();
+                       }
+                       if (!responded) {
+                         ++local;
+                         benchmark::DoNotOptimize(world->tcp_syn(target, 80, d));
+                       }
+                     }
+                   chunk_probes[chunk] = local;
+                 });
+    for (std::uint64_t c : chunk_probes) probes += c;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(probes));
+}
+BENCHMARK(BM_WorldProbeFresh)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_DnsEncodeDecode(benchmark::State& state) {
   DnsMessage q = make_query("www.google.com", RrType::AAAA, 99);

@@ -40,38 +40,11 @@ const Deployment* World::deployment_of(const Ipv6& a) const {
   return i == nullptr ? nullptr : deployments_[*i].get();
 }
 
-void World::roll_host_cache(int date_index) const {
-  std::lock_guard roll(cache_roll_mutex_);
-  if (cache_date_.load(std::memory_order_relaxed) == date_index) return;
-  for (auto& stripe : host_cache_) {
-    std::unique_lock lk(stripe.m);
-    stripe.map.clear();
-  }
-  cache_date_.store(date_index, std::memory_order_release);
-}
-
 std::optional<HostBehavior> World::truth_host(const Ipv6& a,
                                               ScanDate d) const {
-  if (cache_date_.load(std::memory_order_acquire) != d.index)
-    roll_host_cache(d.index);
-
-  auto& stripe = host_cache_[hash_of(a, 0x5717) % kHostCacheStripes];
-  {
-    std::shared_lock lk(stripe.m);
-    auto it = stripe.map.find(a);
-    if (it != stripe.map.end()) return it->second;
-  }
-
-  // Compute outside the stripe lock: host behaviour is deterministic, so
-  // two threads racing on the same address agree and the second emplace
-  // is a no-op.
-  std::optional<HostBehavior> result;
-  if (const Deployment* dep = deployment_of(a)) result = dep->host(a, d);
-  {
-    std::unique_lock lk(stripe.m);
-    stripe.map.emplace(a, result);
-  }
-  return result;
+  const Deployment* dep = deployment_of(a);
+  if (dep == nullptr) return std::nullopt;
+  return dep->host(a, d);
 }
 
 Ipv6 World::own_zone_answer(std::string_view qname) {

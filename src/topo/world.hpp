@@ -1,7 +1,5 @@
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -26,31 +24,30 @@ namespace sixdust {
 /// use the probe surface; ground-truth accessors are clearly marked and
 /// reserved for tests and bench calibration.
 ///
-/// The world is almost entirely a pure function of (address, date, seed).
-/// The two deliberate pieces of mutable state are the per-host PMTU caches
-/// (the side channel exploited by the Too Big Trick) and the log of our
-/// controlled name server (the Sec. 4.2 validation experiment). The lazy
-/// deployment memos are not state in this sense: `IspPool` keys its draw
-/// by epoch and `AliasedRegion` stores the unit index of every active /64,
-/// so a probe on date d answers the same whichever dates were probed
-/// before.
+/// The world is almost entirely a pure function of (address, date, seed):
+/// every probe computes the host behind its target directly from the
+/// covering deployment. The two deliberate pieces of mutable state are the
+/// per-host PMTU caches (the side channel exploited by the Too Big Trick)
+/// and the log of our controlled name server (the Sec. 4.2 validation
+/// experiment). The lazy deployment memos are not state in this sense:
+/// `IspPool` keys its draw by epoch and `AliasedRegion` stores the unit
+/// index of every active /64, so a probe on date d answers the same
+/// whichever dates were probed before.
 ///
 /// Thread-safety contract (see DESIGN.md, "Concurrency model"): the const
 /// probe surface — icmp_echo, tcp_syn, dns_query, quic_probe, probe,
-/// path_to, truth_host — may be called concurrently, provided all in-flight
-/// probes share one ScanDate (the scan stages satisfy this; the per-date
-/// host-behaviour memo rolls over at the sequential boundary between
-/// dates). Probe results are pure functions of (address, date, seed), so
-/// interleaving never changes what a probe observes. The mutable memo and
-/// side-channel state is internally guarded: the host cache by striped
-/// mutexes, the PMTU caches by a reader/writer lock, the name-server log
-/// by a mutex. Two order-sensitive side channels remain deterministic only
-/// under single-threaded use, which their callers guarantee: PTB writes
-/// (the Too Big Trick runs its own sequential probe discipline) and the
-/// ns_log_ append order (only own-zone queries log, and the validation
-/// experiments issue those sequentially — the scan path queries a foreign
-/// name). Accessors that *reset* observer state (clear_nameserver_log,
-/// reset_pmtu) must not race with probes.
+/// path_to, truth_host — may be called concurrently, also with different
+/// ScanDates in flight. Probe results are pure functions of (address,
+/// date, seed), so interleaving never changes what a probe observes. The
+/// side-channel state is internally guarded: the PMTU caches by a
+/// reader/writer lock, the name-server log by a mutex. Two order-sensitive
+/// side channels remain deterministic only under single-threaded use,
+/// which their callers guarantee: PTB writes (the Too Big Trick runs its
+/// own sequential probe discipline) and the ns_log_ append order (only
+/// own-zone queries log, and the validation experiments issue those
+/// sequentially — the scan path queries a foreign name). Accessors that
+/// *reset* observer state (clear_nameserver_log, reset_pmtu) must not race
+/// with probes.
 class World {
  public:
   struct TransitAs {
@@ -155,10 +152,6 @@ class World {
                                                        ScanDate d) const;
 
  private:
-  /// Clear the per-date host memo and adopt `date_index` (exactly once
-  /// even when concurrent probes race into the rollover).
-  void roll_host_cache(int date_index) const;
-
   AsRegistry registry_;
   Rib rib_;
   Gfw gfw_;
@@ -174,22 +167,6 @@ class World {
   mutable std::unordered_map<HostKey, std::uint16_t> pmtu_;
   mutable std::mutex ns_log_mutex_;
   mutable std::vector<NsLogEntry> ns_log_;
-  // Behaviour memo for the current scan date: the scanner probes each
-  // target once per protocol, so host resolution repeats 5-7x per scan.
-  // Purely a cache of the deterministic host() function, striped so that
-  // concurrent prober threads rarely contend on the same lock.
-  static constexpr std::size_t kHostCacheStripes = 64;
-  /// Reader/writer stripes: cache hits (the common case — each target is
-  /// resolved 5-7x per scan) take only a shared lock, so parallel probers
-  /// no longer serialize on hot stripes; the exclusive lock is reserved
-  /// for first-resolution inserts and the per-date rollover.
-  struct HostCacheStripe {
-    std::shared_mutex m;
-    std::unordered_map<Ipv6, std::optional<HostBehavior>, Ipv6Hasher> map;
-  };
-  mutable std::atomic<int> cache_date_{-1};
-  mutable std::mutex cache_roll_mutex_;
-  mutable std::array<HostCacheStripe, kHostCacheStripes> host_cache_;
 };
 
 }  // namespace sixdust

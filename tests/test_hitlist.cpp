@@ -8,6 +8,7 @@
 
 #include "hitlist/discovery.hpp"
 #include "hitlist/service.hpp"
+#include "serve/snapshot.hpp"
 #include "topo/world_builder.hpp"
 
 namespace sixdust {
@@ -270,6 +271,70 @@ TEST_F(ServiceTest, TgaSeedsExcludeInjectedOnlyAddresses) {
       if (a == s && (mask & ~proto_bit(Proto::Udp53)) != 0) other = true;
     EXPECT_TRUE(other) << s.str();
   }
+}
+
+// --- world reuse ------------------------------------------------------------
+
+/// What a timeline leaves behind that must not depend on what the world
+/// was asked before: stable metrics, the history and every epoch's content.
+struct TimelineOutputs {
+  std::string stable_metrics;
+  std::vector<History::Entry> history;
+  std::vector<std::uint64_t> epoch_digests;
+};
+
+TimelineOutputs run_timeline(const World& world, int scans) {
+  HitlistService::Config cfg;
+  cfg.threads = 2;
+  HitlistService service(cfg);
+  TimelineOutputs out;
+  for (int i = 0; i < scans; ++i) {
+    service.step(world, ScanDate{i});
+    out.epoch_digests.push_back(
+        serve::freeze_epoch(service, world, i)->content_digest());
+  }
+  out.stable_metrics =
+      service.metrics().snapshot().to_json(/*include_volatile=*/false);
+  out.history = service.history().entries();
+  return out;
+}
+
+void expect_same_timeline(const TimelineOutputs& fresh,
+                          const TimelineOutputs& reused) {
+  EXPECT_TRUE(reused.stable_metrics == fresh.stable_metrics)
+      << "stable metrics differ";
+  EXPECT_EQ(reused.epoch_digests, fresh.epoch_digests);
+  ASSERT_EQ(reused.history.size(), fresh.history.size());
+  for (std::size_t i = 0; i < fresh.history.size(); ++i) {
+    const auto& f = fresh.history[i];
+    const auto& r = reused.history[i];
+    EXPECT_EQ(r.scan_index, f.scan_index);
+    EXPECT_EQ(r.responsive, f.responsive) << "scan " << i;
+    EXPECT_EQ(r.input_total, f.input_total) << "scan " << i;
+    EXPECT_EQ(r.scan_targets, f.scan_targets) << "scan " << i;
+    EXPECT_EQ(r.aliased_prefixes, f.aliased_prefixes) << "scan " << i;
+    EXPECT_EQ(r.duration_days, f.duration_days) << "scan " << i;
+  }
+}
+
+TEST(WorldReuse, TestWorldSecondTimelineMatchesFirst) {
+  // The first timeline runs on a fresh world; the second on the same
+  // World, which has by then answered every probe of the first.
+  const auto world = build_test_world(42);
+  const TimelineOutputs fresh = run_timeline(*world, 12);
+  const TimelineOutputs reused = run_timeline(*world, 12);
+  expect_same_timeline(fresh, reused);
+}
+
+TEST(WorldReuse, PaperScaleSliceSecondTimelineMatchesFirst) {
+  // Paper scale is where lazy per-date deployment state shows: sparse
+  // aliased regions grow by tens of /64s per scan. With seed 41, a region
+  // that remembered later dates' /64s changes APD probe counts from the
+  // second scan of the reused timeline on.
+  const auto world = build_world(WorldConfig{.seed = 41});
+  const TimelineOutputs fresh = run_timeline(*world, 5);
+  const TimelineOutputs reused = run_timeline(*world, 5);
+  expect_same_timeline(fresh, reused);
 }
 
 }  // namespace

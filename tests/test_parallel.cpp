@@ -278,8 +278,8 @@ TEST(ParallelService, FullRunIsThreadCountInvariant) {
 }
 
 TEST(ParallelService, ConcurrentWorldProbesAreSafe) {
-  // Hammer the shared World caches (host memo, PMTU, sparse-/64 sets)
-  // from many threads on one date — the TSan preset runs this test.
+  // Hammer the shared World state (PMTU map, sparse-/64 tables, ISP
+  // pools) from many threads on one date — the TSan preset runs this test.
   auto world = build_test_world(79);
   std::vector<KnownAddress> known;
   world->enumerate_known(ScanDate{3}, known);
@@ -299,6 +299,62 @@ TEST(ParallelService, ConcurrentWorldProbesAreSafe) {
       if (world->probe(k.addr, p, ScanDate{3})) ++expected;
   EXPECT_EQ(responsive.load(), expected);
   EXPECT_GT(expected, 0u);
+}
+
+TEST(ParallelService, ConcurrentWorldProbesAcrossDatesAreSafe) {
+  // Probes of different dates may be in flight at once. Every chunk walks
+  // the dates in its own order, switching date on each probe, and every
+  // answer must equal a sequential pass over a freshly built world.
+  constexpr int kDates = 8;
+  auto world = build_test_world(79);
+  std::vector<KnownAddress> known;
+  world->enumerate_known(ScanDate{3}, known);
+  ASSERT_FALSE(known.empty());
+  const std::size_t n = known.size();
+  // Answers of address i on date d, one bit per protocol, at d * n + i.
+  auto probe_into = [n](const World& w, std::size_t i, const Ipv6& a,
+                        Proto p, int date, std::vector<ProtoMask>& out) {
+    if (w.probe(a, p, ScanDate{date}))
+      out[static_cast<std::size_t>(date) * n + i] |= proto_bit(p);
+  };
+
+  std::vector<ProtoMask> concurrent(kDates * n, 0);
+  ThreadPool pool(8);
+  parallel_for(&pool, n, 64,
+               [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+                 for (std::size_t i = lo; i < hi; ++i)
+                   for (Proto p : kAllProtos)
+                     for (int k = 0; k < kDates; ++k) {
+                       // Odd chunks walk backwards; each starts elsewhere.
+                       const int step = chunk % 2 == 0 ? k : kDates - 1 - k;
+                       const int date =
+                           static_cast<int>((chunk + i + step) % kDates);
+                       probe_into(*world, i, known[i].addr, p, date,
+                                  concurrent);
+                     }
+               });
+
+  const auto fresh = build_test_world(79);
+  std::vector<ProtoMask> sequential(kDates * n, 0);
+  for (int date = 0; date < kDates; ++date)
+    for (std::size_t i = 0; i < n; ++i)
+      for (Proto p : kAllProtos)
+        probe_into(*fresh, i, known[i].addr, p, date, sequential);
+
+  std::size_t differ = 0;
+  for (std::size_t j = 0; j < sequential.size(); ++j)
+    if (concurrent[j] != sequential[j]) ++differ;
+  EXPECT_EQ(differ, 0u) << "of " << sequential.size() << " answer masks";
+  // The dates must not be interchangeable, or a mixed-up date would pass.
+  std::size_t date_dependent = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (int date = 1; date < kDates; ++date)
+      if (sequential[static_cast<std::size_t>(date) * n + i] !=
+          sequential[i]) {
+        ++date_dependent;
+        break;
+      }
+  EXPECT_GT(date_dependent, 0u);
 }
 
 }  // namespace
