@@ -98,11 +98,10 @@ bool ServiceArchive::save(const HitlistService& service,
   // Input list.
   const auto& input = service.input();
   w.u64(input.size());
-  for (const auto& a : input.addresses()) {
-    const auto* meta = input.find(a);
-    w.addr(a);
-    w.u16(meta->tags);
-    w.i32(meta->first_seen);
+  for (std::uint32_t r = 0; r < input.size(); ++r) {
+    w.addr(input.addresses()[r]);
+    w.u16(input.meta(r).tags);
+    w.i32(input.meta(r).first_seen);
   }
 
   // History.
@@ -223,7 +222,15 @@ std::unique_ptr<HitlistService> ServiceArchive::load(
   const std::uint64_t n_pool = r.u64();
   for (std::uint64_t i = 0; i < n_pool && r.ok; ++i) {
     const Ipv6 a = r.addr();
-    service->excluded_.insert(a);
+    if (!r.ok) break;
+    const std::uint32_t row = service->input_.row(a);
+    if (row == InputDb::kNoRow) {
+      Logger::global().warn("archive", "'" + path + "' excludes " + a.str() +
+                                           ", which is not in its input");
+      std::fclose(f);
+      return nullptr;
+    }
+    service->input_.meta(row).excluded = true;
     service->excluded_order_.push_back(a);
   }
 

@@ -4,21 +4,17 @@ namespace sixdust {
 
 bool InputDb::add(const Ipv6& a, std::uint16_t tags, int scan_index,
                   const PrefixSet* blocklist) {
-  auto [it, inserted] = meta_.try_emplace(a, Meta{tags, scan_index, false});
+  auto [it, inserted] =
+      rows_.try_emplace(a, static_cast<std::uint32_t>(order_.size()));
   if (!inserted) {
-    it->second.tags |= tags;
+    meta_[it->second].tags |= tags;
     return false;
   }
-  it->second.blocked = blocklist != nullptr && blocklist->covers(a);
+  const bool blocked = blocklist != nullptr && blocklist->covers(a);
   order_.push_back(a);
-  blocked_.push_back(it->second.blocked ? 1 : 0);
-  if (it->second.blocked) ++blocked_count_;
+  meta_.push_back({.tags = tags, .first_seen = scan_index, .blocked = blocked});
+  if (blocked) ++blocked_count_;
   return true;
-}
-
-const InputDb::Meta* InputDb::find(const Ipv6& a) const {
-  auto it = meta_.find(a);
-  return it == meta_.end() ? nullptr : &it->second;
 }
 
 }  // namespace sixdust

@@ -13,8 +13,13 @@ namespace sixdust {
 /// address ever delivered by any source, with provenance tags and
 /// first-seen scan. The paper's Sec. 4.1 analyses exactly this object
 /// (growth 90 M -> 790 M, per-AS bias, EUI-64 reuse).
+/// Each address owns one row, numbered by insertion: addresses()[r] and
+/// meta(r) hold all of its per-address service state. The 30-day filter
+/// fields are written only by HitlistService::step and ServiceArchive::load.
 class InputDb {
  public:
+  static constexpr std::uint32_t kNoRow = UINT32_MAX;
+
   struct Meta {
     std::uint16_t tags = 0;
     int first_seen = 0;
@@ -23,6 +28,9 @@ class InputDb {
     /// changes and eligible_targets() becomes a flag check instead of a
     /// longest-prefix match over the whole accumulated DB every scan.
     bool blocked = false;
+    /// 30-day filter: permanently excluded; scans missed in a row.
+    bool excluded = false;
+    int misses = 0;
   };
 
   /// Returns true when the address is new. `blocklist` (may be null) is
@@ -32,9 +40,19 @@ class InputDb {
            const PrefixSet* blocklist = nullptr);
 
   [[nodiscard]] bool contains(const Ipv6& a) const {
-    return meta_.contains(a);
+    return rows_.contains(a);
   }
-  [[nodiscard]] const Meta* find(const Ipv6& a) const;
+  /// The address's row, or kNoRow when it was never added.
+  [[nodiscard]] std::uint32_t row(const Ipv6& a) const {
+    auto it = rows_.find(a);
+    return it == rows_.end() ? kNoRow : it->second;
+  }
+  [[nodiscard]] const Meta* find(const Ipv6& a) const {
+    const std::uint32_t r = row(a);
+    return r == kNoRow ? nullptr : &meta_[r];
+  }
+  [[nodiscard]] const Meta& meta(std::uint32_t r) const { return meta_[r]; }
+  [[nodiscard]] Meta& meta(std::uint32_t r) { return meta_[r]; }
   [[nodiscard]] std::size_t size() const { return order_.size(); }
   /// Accumulated addresses whose cached blocklist verdict is "covered".
   [[nodiscard]] std::size_t blocked_count() const { return blocked_count_; }
@@ -42,20 +60,10 @@ class InputDb {
   /// Addresses in insertion order (stable iteration for scans).
   [[nodiscard]] const std::vector<Ipv6>& addresses() const { return order_; }
 
-  /// Blocklist verdicts aligned with addresses() — blocked_flags()[i] is
-  /// the cached verdict for addresses()[i].
-  [[nodiscard]] const std::vector<std::uint8_t>& blocked_flags() const {
-    return blocked_;
-  }
-
-  [[nodiscard]] const std::unordered_map<Ipv6, Meta, Ipv6Hasher>& all() const {
-    return meta_;
-  }
-
  private:
-  std::unordered_map<Ipv6, Meta, Ipv6Hasher> meta_;
+  std::unordered_map<Ipv6, std::uint32_t, Ipv6Hasher> rows_;
   std::vector<Ipv6> order_;
-  std::vector<std::uint8_t> blocked_;
+  std::vector<Meta> meta_;
   std::size_t blocked_count_ = 0;
 };
 

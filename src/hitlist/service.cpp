@@ -51,12 +51,10 @@ HitlistService::HitlistService(Config cfg)
   // (and InputDb caches the per-address verdict on first insertion).
   blocklist_.freeze();
   pool_ = ThreadPool::create(cfg_.threads);
-  if (pool_) {
-    pool_->set_metrics(metrics_);
-    zmap_.set_pool(pool_);
-    apd_.set_pool(pool_);
-    yarrp_.set_pool(pool_);
-  }
+  if (pool_) pool_->set_metrics(metrics_);
+  zmap_.set_pool(pool_);
+  apd_.set_pool(pool_);
+  yarrp_.set_pool(pool_);
 }
 
 HitlistService::~HitlistService() {
@@ -117,13 +115,10 @@ void HitlistService::record_outcome(const ScanOutcome& outcome) {
 
 std::vector<Ipv6> HitlistService::eligible_targets() const {
   std::vector<Ipv6> targets;
-  targets.reserve(input_.size() - excluded_.size());
-  const auto& addrs = input_.addresses();
-  const auto& blocked = input_.blocked_flags();
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    if (blocked[i] != 0) continue;  // verdict cached at insertion
-    if (excluded_.contains(addrs[i])) continue;
-    targets.push_back(addrs[i]);
+  targets.reserve(input_.size() - excluded_order_.size());
+  for (std::uint32_t r = 0; r < input_.size(); ++r) {
+    const InputDb::Meta& m = input_.meta(r);  // verdicts cached in the row
+    if (!m.blocked && !m.excluded) targets.push_back(input_.addresses()[r]);
   }
   return targets;
 }
@@ -164,8 +159,8 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   std::erase_if(targets, [&](const Ipv6& a) { return aliased_.covers(a); });
 
   // 5. ZMapv6 scans, one per protocol, plus the UDP/53 GFW stage.
-  std::unordered_map<Ipv6, ProtoMask, Ipv6Hasher> responsive;
-  responsive.reserve(targets.size() / 4);
+  // Response masks by input row; every responsive record is a target.
+  std::vector<ProtoMask> responsive(input_.size(), 0);
   History::Entry entry;
   entry.scan_index = date.index;
   // All probe stages share one rate-limited sender; APD probes ran above.
@@ -190,7 +185,7 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
                              date.index >= cfg_.gfw_filter_from_scan;
       if (filter_on) {
         for (const auto& rec : gfw_.filter_scan(result))
-          responsive[rec.target] |= proto_bit(p);
+          responsive[input_.row(rec.target)] |= proto_bit(p);
         continue;
       }
       // Published behaviour: every response counts — but record the
@@ -198,7 +193,7 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
       gfw_.observe_scan(result);
     }
     for (const auto& rec : result.responsive)
-      responsive[rec.target] |= proto_bit(p);
+      responsive[input_.row(rec.target)] |= proto_bit(p);
   }
   // Advance the simulated clock by the scan phase's share (deterministic:
   // the per-protocol durations were folded in kAllProtos order above), so
@@ -207,21 +202,21 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
     tr->sim_advance_seconds(duration_seconds - apd_seconds);
   scan_timer.stop();
 
-  // 6. 30-day-unresponsive filter bookkeeping.
+  // 6. 30-day-unresponsive filter bookkeeping and the history rows.
   std::size_t newly_excluded = 0;
   for (const auto& a : targets) {
-    if (responsive.contains(a)) {
-      unresponsive_streak_.erase(a);
-      continue;
-    }
-    const int streak = ++unresponsive_streak_[a];
-    if (streak >= cfg_.unresponsive_scans) {
-      unresponsive_streak_.erase(a);
-      excluded_.insert(a);
+    const std::uint32_t row = input_.row(a);
+    InputDb::Meta& m = input_.meta(row);
+    if (responsive[row] != 0) {
+      m.misses = 0;
+      entry.responsive.emplace_back(a, responsive[row]);
+    } else if (++m.misses >= cfg_.unresponsive_scans) {
+      m.excluded = true;
       excluded_order_.push_back(a);
       ++newly_excluded;
     }
   }
+  std::sort(entry.responsive.begin(), entry.responsive.end());
 
   // 7. Yarrp traceroutes toward the (alias-filtered) targets; discovered
   // router addresses become next scan's input.
@@ -238,10 +233,6 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   duration_seconds += trace_seconds;
 
   // 8. Record history.
-  entry.responsive.reserve(responsive.size());
-  // sixdust-lint: allow(det-unordered-iter) — collection; sorted next.
-  for (const auto& [a, mask] : responsive) entry.responsive.emplace_back(a, mask);
-  std::sort(entry.responsive.begin(), entry.responsive.end());
   entry.input_total = input_.size();
   entry.scan_targets = targets.size();
   entry.aliased_prefixes = aliased_list().size();
@@ -252,9 +243,9 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   outcome.input_total = input_.size();
   outcome.scan_targets = targets.size();
   outcome.aliased_count = aliased_list().size();
-  outcome.excluded_total = excluded_.size();
+  outcome.excluded_total = excluded_order_.size();
   outcome.newly_excluded = newly_excluded;
-  outcome.responsive_any = responsive.size();
+  outcome.responsive_any = entry.responsive.size();
   for (const auto& [a, mask] : entry.responsive)
     for (Proto p : kAllProtos)
       if (mask_has(mask, p)) ++outcome.responsive_per_proto[proto_index(p)];

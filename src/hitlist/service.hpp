@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 
 #include "alias/apd.hpp"
 #include "core/thread_pool.hpp"
@@ -43,9 +42,9 @@ class HitlistService {
     bool enable_gfw_filter = true;
     int gfw_filter_from_scan = 43;
     std::vector<Prefix> blocklist_prefixes;
-    /// Worker threads for the scan/APD/traceroute stages. 0 = one per
-    /// hardware core, 1 = the exact sequential path. Output is
-    /// byte-identical for every value (see DESIGN.md, "Concurrency model").
+    /// Worker threads for the scan/APD/traceroute stages; overrides their
+    /// own `threads`. 0 = one per hardware core, 1 = the exact sequential
+    /// path. Output is byte-identical for every value (DESIGN.md §7).
     unsigned threads = 1;
     /// Run telemetry registry shared by every pipeline stage. Null (the
     /// default) makes the service own a private registry — metrics are
@@ -115,7 +114,8 @@ class HitlistService {
     return excluded_order_;
   }
   [[nodiscard]] bool excluded(const Ipv6& a) const {
-    return excluded_.contains(a);
+    const InputDb::Meta* m = input_.find(a);
+    return m != nullptr && m->excluded;
   }
   [[nodiscard]] const PrefixSet& blocklist() const { return blocklist_; }
 
@@ -186,9 +186,7 @@ class HitlistService {
   History history_;
   PrefixSet aliased_;
   std::vector<std::vector<Prefix>> aliased_per_scan_;
-  std::unordered_set<Ipv6, Ipv6Hasher> excluded_;
   std::vector<Ipv6> excluded_order_;
-  std::unordered_map<Ipv6, int, Ipv6Hasher> unresponsive_streak_;
 };
 
 }  // namespace sixdust

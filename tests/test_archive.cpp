@@ -101,5 +101,31 @@ TEST(Archive, RejectsWrongFingerprintAndMissingFile) {
   std::remove(path.c_str());
 }
 
+TEST(Archive, RejectsPoolAddressOutsideInput) {
+  auto world = build_test_world(83);
+  HitlistService::Config cfg;
+  HitlistService service(cfg);
+  for (int i = 0; i < 10; ++i) service.step(*world, ScanDate{i});
+  ASSERT_FALSE(service.unresponsive_pool().empty());
+  const std::string path = ::testing::TempDir() + "/sixdust_archive_pool.bin";
+  ASSERT_TRUE(ServiceArchive::save(service, 3, path));
+  ASSERT_NE(ServiceArchive::load(cfg, 3, path), nullptr);
+
+  // The last pool address is the 16 bytes before the taint section: its
+  // count, then 25 bytes per record.
+  const Ipv6 outsider = ip("2001:db8:dead::1");
+  ASSERT_FALSE(service.input().contains(outsider));
+  const long taint_bytes =
+      8 + 25 * static_cast<long>(service.gfw().taint_records().size());
+  FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, -(taint_bytes + 16), SEEK_END), 0);
+  const std::uint64_t words[2] = {outsider.hi(), outsider.lo()};
+  ASSERT_EQ(std::fwrite(words, 1, sizeof words, f), sizeof words);
+  std::fclose(f);
+  EXPECT_EQ(ServiceArchive::load(cfg, 3, path), nullptr);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace sixdust

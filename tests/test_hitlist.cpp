@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <unordered_set>
 
 #include "hitlist/discovery.hpp"
@@ -184,6 +186,53 @@ TEST_F(ServiceTest, NewlyExcludedCountsSumToExclusionPool) {
   }
   EXPECT_EQ(total, svc.unresponsive_pool().size());
   EXPECT_GT(steps_with_exclusions, 0u);
+}
+
+TEST_F(ServiceTest, ThirtyDayFilterMatchesStreakReplay) {
+  // Replays the 30-day filter from what each scan targeted and answered:
+  // an address is excluded on its `unresponsive_scans`-th miss in a row,
+  // and the pool lists exclusions in scan-target order.
+  for (const int threshold : {1, 3, 5}) {
+    HitlistService::Config cfg;
+    cfg.traceroute.target_budget = 4000;
+    cfg.unresponsive_scans = threshold;
+    HitlistService svc(cfg);
+    std::map<Ipv6, int> misses;
+    std::vector<Ipv6> pool;
+    std::set<Ipv6> pool_set;
+    for (int i = 0; i < 12; ++i) {
+      svc.step(*world_, ScanDate{i});
+      const History::Entry& entry = svc.history().at(i);
+      // The step scanned the inputs it held after collecting its sources,
+      // less blocked, excluded and aliased ones. Traceroute hops are added
+      // after the scan, so the targets are the first scan_targets inputs
+      // that pass those filters.
+      std::vector<Ipv6> targets;
+      for (const auto& a : svc.input().addresses()) {
+        if (targets.size() == entry.scan_targets) break;
+        if (svc.blocklist().covers(a) || pool_set.contains(a) ||
+            svc.aliased().covers(a))
+          continue;
+        targets.push_back(a);
+      }
+      ASSERT_EQ(targets.size(), entry.scan_targets);
+      std::set<Ipv6> answered;
+      for (const auto& [a, mask] : entry.responsive) answered.insert(a);
+      for (const auto& a : targets) {
+        if (answered.contains(a)) {
+          misses.erase(a);
+        } else if (++misses[a] >= threshold) {
+          misses.erase(a);
+          pool.push_back(a);
+          pool_set.insert(a);
+        }
+      }
+    }
+    EXPECT_EQ(svc.unresponsive_pool(), pool) << "threshold " << threshold;
+    for (const auto& a : svc.input().addresses())
+      EXPECT_EQ(svc.excluded(a), pool_set.contains(a))
+          << a.str() << " threshold " << threshold;
+  }
 }
 
 TEST_F(ServiceTest, GfwSpikeAppearsInPublishedCountsOnly) {

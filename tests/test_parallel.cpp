@@ -14,6 +14,7 @@
 #include "core/parallel.hpp"
 #include "core/thread_pool.hpp"
 #include "hitlist/service.hpp"
+#include "obs/trace.hpp"
 #include "scanner/zmap6.hpp"
 #include "topo/world_builder.hpp"
 #include "traceroute/yarrp.hpp"
@@ -275,6 +276,34 @@ TEST(ParallelService, FullRunIsThreadCountInvariant) {
   }
   EXPECT_EQ(parallel.aliased_list(), sequential.aliased_list());
   EXPECT_EQ(parallel.unresponsive_pool(), sequential.unresponsive_pool());
+}
+
+TEST(ParallelService, ServiceThreadsOverrideStageThreads) {
+  // The service's thread count is the only one: threads = 1 runs every
+  // stage on the sequential path even when the stage configs ask for more.
+  auto world = build_test_world(78);
+  TraceRecorder tracer;
+  HitlistService::Config cfg;
+  cfg.threads = 1;
+  cfg.scanner.threads = 4;
+  cfg.apd.threads = 4;
+  cfg.traceroute.threads = 4;
+  cfg.traceroute.target_budget = 2000;
+  cfg.tracer = &tracer;
+  HitlistService service(cfg);
+  service.step(*world, ScanDate{0});
+
+  std::size_t shard_spans = 0;
+  for (const auto& span : tracer.collect()) {
+    if (span.name != "scanner.shard") continue;
+    ++shard_spans;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "shards") {
+        EXPECT_EQ(value, "1");
+      }
+    }
+  }
+  EXPECT_GT(shard_spans, 0u);
 }
 
 TEST(ParallelService, ConcurrentWorldProbesAreSafe) {
