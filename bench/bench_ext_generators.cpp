@@ -9,6 +9,7 @@
 #include <unordered_set>
 
 #include "analysis/report.hpp"
+#include "netbase/frozen_lpm.hpp"
 #include "scanner/zmap6.hpp"
 #include "support.hpp"
 #include "tga/entropyip.hpp"
@@ -76,13 +77,14 @@ int main() {
         tl.world->rib(), tl.service->input().addresses(), 100000);
     // How many announced prefixes have no input coverage? (longest-match
     // attribution of every input address onto the routing table)
-    PrefixTrie<std::size_t> route_index;
     const auto& routes = tl.world->rib().routes();
+    std::vector<std::pair<Prefix, std::size_t>> column;
     for (std::size_t i = 0; i < routes.size(); ++i)
-      route_index.insert(routes[i].prefix, i);
+      column.emplace_back(routes[i].prefix, i);
+    const FrozenLpm<std::size_t> route_index(std::move(column));
     std::vector<bool> covered(routes.size(), false);
     for (const auto& a : tl.service->input().addresses())
-      if (auto m = route_index.longest_match(a)) covered[*m->value] = true;
+      if (const std::size_t* r = route_index.lookup(a)) covered[*r] = true;
     for (bool c : covered)
       if (!c) ++uncovered_before;
     Zmap6 zmap(Zmap6::Config{.seed = 313, .loss = 0.01, .retries = 1});

@@ -20,7 +20,6 @@
 #include "obs/latency_histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "netbase/prefix_trie.hpp"
 #include "netbase/rng.hpp"
 #include "proto/dns.hpp"
 #include "proto/wire.hpp"
@@ -57,30 +56,14 @@ void BM_Ipv6Format(benchmark::State& state) {
 }
 BENCHMARK(BM_Ipv6Format);
 
-void BM_TrieLongestMatch(benchmark::State& state) {
-  PrefixTrie<int> trie;
-  for (int i = 0; i < 4096; ++i) {
-    Ipv6 base = Ipv6::from_words((0x2a10ULL << 48) |
-                                     (static_cast<std::uint64_t>(i) << 32),
-                                 0);
-    trie.insert(Prefix::make(base, 32), i);
-  }
-  const Ipv6 probe = ip("2a10:7ff::1");
-  for (auto _ : state) {
-    auto m = trie.longest_match(probe);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_TrieLongestMatch);
-
 // --- LPM engine: realistic prefix distributions ---------------------------
 //
 // A RIB-like announcement mix (/32../48 allocations with covering /32s and
 // more-specific /40../48s) plus a band of aliased /64s — the shapes the
 // service resolves against on every probe: origin lookups, blocklist
 // checks, and the aliased filter. The legacy radix-1 trie (the seed's
-// bit-at-a-time structure) is kept here as the baseline the compressed
-// trie and the frozen snapshot are measured against.
+// bit-at-a-time structure) is kept here as the baseline FrozenLpm is
+// measured against.
 
 /// The seed's binary (radix-1) trie, verbatim minus visit/exact — baseline
 /// for the BM_LpmLookup comparison.
@@ -178,6 +161,16 @@ std::vector<Ipv6> lpm_probe_batch(const std::vector<Prefix>& prefixes) {
   return probes;
 }
 
+/// The (prefix, value) column a consumer hands FrozenLpm: value = index.
+std::vector<std::pair<Prefix, int>> lpm_column(
+    const std::vector<Prefix>& prefixes) {
+  std::vector<std::pair<Prefix, int>> column;
+  column.reserve(prefixes.size());
+  for (std::size_t i = 0; i < prefixes.size(); ++i)
+    column.emplace_back(prefixes[i], static_cast<int>(i));
+  return column;
+}
+
 void BM_LpmLookup(benchmark::State& state) {
   static const std::vector<Prefix> prefixes = rib_scale_prefixes();
   static const std::vector<Ipv6> probes = lpm_probe_batch(prefixes);
@@ -188,31 +181,19 @@ void BM_LpmLookup(benchmark::State& state) {
       t.insert(prefixes[i], static_cast<int>(i));
     return t;
   }();
-  static const PrefixTrie<int> trie = [] {
-    PrefixTrie<int> t;
-    for (std::size_t i = 0; i < prefixes.size(); ++i)
-      t.insert(prefixes[i], static_cast<int>(i));
-    return t;
-  }();
-  static const FrozenLpm<int> frozen{trie};
+  static const FrozenLpm<int> frozen{lpm_column(prefixes)};
 
   // Each engine pays its real call-site cost: the seed's only API was
-  // longest_match (an optional<Match> built on the way down); the new
-  // engines serve the probe path through the value-only lookup().
-  const int engine = static_cast<int>(state.range(0));
+  // longest_match (an optional<Match> built on the way down); FrozenLpm
+  // serves the probe path through the value-only lookup().
+  const bool seed_engine = state.range(0) == 0;
   std::size_t hits = 0;
   for (auto _ : state) {
     for (const Ipv6& a : probes) {
-      switch (engine) {
-        case 0:
-          hits += legacy.longest_match(a).has_value();
-          break;
-        case 1:
-          hits += trie.lookup(a) != nullptr;
-          break;
-        default:
-          hits += frozen.lookup(a) != nullptr;
-          break;
+      if (seed_engine) {
+        hits += legacy.longest_match(a).has_value();
+      } else {
+        hits += frozen.lookup(a) != nullptr;
       }
     }
   }
@@ -221,27 +202,21 @@ void BM_LpmLookup(benchmark::State& state) {
                           static_cast<std::int64_t>(probes.size()));
 }
 BENCHMARK(BM_LpmLookup)
-    ->Arg(0)  // 0 = seed radix-1 baseline
-    ->Arg(1)  // 1 = compressed trie
-    ->Arg(2); // 2 = frozen snapshot
+    ->Arg(0)   // 0 = seed radix-1 baseline
+    ->Arg(2);  // 2 = FrozenLpm (numbered as in earlier results)
 
+/// Times the whole build a consumer pays: the (prefix, value) column, its
+/// sort and the table compile.
 void BM_LpmBuild(benchmark::State& state) {
   static const std::vector<Prefix> prefixes = rib_scale_prefixes();
-  const bool freeze = state.range(0) != 0;
   for (auto _ : state) {
-    PrefixTrie<int> trie;
-    for (std::size_t i = 0; i < prefixes.size(); ++i)
-      trie.insert(prefixes[i], static_cast<int>(i));
-    if (freeze) {
-      FrozenLpm<int> f{trie};
-      benchmark::DoNotOptimize(f);
-    }
-    benchmark::DoNotOptimize(trie);
+    FrozenLpm<int> f{lpm_column(prefixes)};
+    benchmark::DoNotOptimize(f);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(prefixes.size()));
 }
-BENCHMARK(BM_LpmBuild)->Arg(0)->Arg(1);
+BENCHMARK(BM_LpmBuild);
 
 void BM_CyclicPermutation(benchmark::State& state) {
   CyclicPermutation perm(1 << 20, 42);

@@ -112,21 +112,22 @@ AliasDetector::Detection AliasDetector::finalize(
   std::vector<Prefix> aliased;
   for (std::size_t i = 0; i < cands.size(); ++i)
     if (masks[i] == 0xffff) aliased.push_back(cands[i]);
-  // Aggregate: shortest first; drop candidates covered by an already
-  // accepted (shorter) aliased prefix.
-  std::sort(aliased.begin(), aliased.end(),
+  // Aggregate: drop candidates inside a shorter aliased prefix. In
+  // (base, len) order a prefix sorts before everything it contains, and
+  // kept prefixes are disjoint, so only the last kept one can contain the
+  // next candidate.
+  std::sort(aliased.begin(), aliased.end());
+  for (const auto& p : aliased)
+    if (det.aliased.empty() || !det.aliased.back().contains(p))
+      det.aliased.push_back(p);
+  det.aliased_set = PrefixSet(det.aliased);
+  // Published order (aliased_per_scan, aliased.txt, the archive): shortest
+  // first.
+  std::sort(det.aliased.begin(), det.aliased.end(),
             [](const Prefix& a, const Prefix& b) {
               if (a.len() != b.len()) return a.len() < b.len();
               return a < b;
             });
-  for (const auto& p : aliased) {
-    if (det.aliased_set.covers(p.base())) continue;
-    det.aliased.push_back(p);
-    det.aliased_set.add(p);
-  }
-  // The set is complete and will only be queried from here on (once per
-  // scan target in the service's alias filter) — compile the snapshot.
-  det.aliased_set.freeze();
   if (m_rounds_ != nullptr) {
     m_rounds_->inc();
     m_candidates_->add(det.candidates_tested);

@@ -2,30 +2,24 @@
 
 namespace sixdust {
 
-void Rib::announce(const Prefix& p, Asn origin) {
-  trie_.insert(p, origin);
-  frozen_.reset();
-  by_as_[origin].push_back(routes_.size());
-  routes_.push_back(Route{p, origin});
-}
-
-void Rib::freeze() {
-  if (!frozen_) frozen_.emplace(trie_);
+Rib::Rib(std::vector<Route> routes) : routes_(std::move(routes)) {
+  std::vector<std::pair<Prefix, Asn>> column;
+  column.reserve(routes_.size());
+  for (std::size_t i = 0; i < routes_.size(); ++i) {
+    column.emplace_back(routes_[i].prefix, routes_[i].origin);
+    by_as_[routes_[i].origin].push_back(i);
+  }
+  lpm_ = FrozenLpm<Asn>(std::move(column));
 }
 
 std::optional<Asn> Rib::origin(const Ipv6& a) const {
-  const Asn* v = frozen_ ? frozen_->lookup(a) : trie_.lookup(a);
+  const Asn* v = lpm_.lookup(a);
   if (v == nullptr) return std::nullopt;
   return *v;
 }
 
 std::optional<Rib::Route> Rib::route(const Ipv6& a) const {
-  if (frozen_) {
-    auto m = frozen_->longest_match(a);
-    if (!m) return std::nullopt;
-    return Route{m->prefix, *m->value};
-  }
-  auto m = trie_.longest_match(a);
+  auto m = lpm_.longest_match(a);
   if (!m) return std::nullopt;
   return Route{m->prefix, *m->value};
 }

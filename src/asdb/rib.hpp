@@ -6,7 +6,6 @@
 
 #include "asdb/asn.hpp"
 #include "netbase/frozen_lpm.hpp"
-#include "netbase/prefix_trie.hpp"
 #include "netbase/u128.hpp"
 
 namespace sixdust {
@@ -14,6 +13,9 @@ namespace sixdust {
 /// Routing Information Base: the set of announced prefixes with origin
 /// ASes. Stands in for the RIPE RIS rrc00 dump the paper uses to relate
 /// hitlist coverage to announced space (Sec. 4.1, Fig. 6).
+///
+/// Built once from the full route column and immutable afterwards, so any
+/// number of threads may query it concurrently.
 class Rib {
  public:
   struct Route {
@@ -21,15 +23,9 @@ class Rib {
     Asn origin = kAsnNone;
   };
 
-  void announce(const Prefix& p, Asn origin);
-
-  /// Compile the immutable lookup snapshot; origin()/route() run on it
-  /// until the next announce(). The world builder announces everything and
-  /// the World constructor freezes, so every probe-path lookup during a
-  /// scan hits the snapshot. Idempotent; a frozen Rib is safe to query
-  /// concurrently.
-  void freeze();
-  [[nodiscard]] bool frozen() const { return frozen_.has_value(); }
+  /// `routes` in announcement order. routes() keeps every announcement; a
+  /// prefix announced twice resolves to its last origin.
+  explicit Rib(std::vector<Route> routes);
 
   /// Origin AS by longest-prefix match.
   [[nodiscard]] std::optional<Asn> origin(const Ipv6& a) const;
@@ -52,8 +48,7 @@ class Rib {
   [[nodiscard]] u128 announced_space(Asn asn) const;
 
  private:
-  PrefixTrie<Asn> trie_;
-  std::optional<FrozenLpm<Asn>> frozen_;
+  FrozenLpm<Asn> lpm_;
   std::vector<Route> routes_;
   std::unordered_map<Asn, std::vector<std::size_t>> by_as_;
 };

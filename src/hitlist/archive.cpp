@@ -33,8 +33,12 @@ struct Writer {
   }
 };
 
+/// Reads the archive and tracks the bytes left in the file, so a corrupt
+/// count or prefix length fails the load (ok = false) instead of
+/// allocating or restoring nonsense.
 struct Reader {
   FILE* f;
+  std::uint64_t left;
   bool ok = true;
 
   std::uint8_t u8() {
@@ -69,10 +73,20 @@ struct Reader {
   }
   Prefix prefix() {
     const Ipv6 base = addr();
-    return Prefix::make(base, u8());
+    const std::uint8_t len = u8();
+    if (len > 128) ok = false;
+    return Prefix::make(base, len);
+  }
+  /// A record count, checked against the records of `record_size` bytes
+  /// that still fit in the file.
+  std::uint64_t count(std::size_t record_size) {
+    const std::uint64_t n = u64();
+    if (n > left / record_size) ok = false;
+    return ok ? n : 0;
   }
   void raw(void* p, std::size_t n) {
-    if (ok && std::fread(p, 1, n, f) != n) ok = false;
+    if (ok && (n > left || std::fread(p, 1, n, f) != n)) ok = false;
+    if (ok) left -= n;
   }
 };
 
@@ -161,7 +175,10 @@ std::unique_ptr<HitlistService> ServiceArchive::load(
     Logger::global().warn("archive", "cannot open '" + path + "'");
     return nullptr;
   }
-  Reader r{f};
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fseek(f, 0, SEEK_SET);
+  Reader r{f, size < 0 ? 0 : static_cast<std::uint64_t>(size)};
   if (r.u32() != kMagic || r.u32() != kVersion || r.u64() != fingerprint) {
     Logger::global().warn(
         "archive", "'" + path + "' has wrong magic/version/fingerprint");
@@ -182,8 +199,8 @@ std::unique_ptr<HitlistService> ServiceArchive::load(
     const std::uint16_t tags = r.u16();
     const std::int32_t first = r.i32();
     // The blocklist is part of the config, not the archive: recompute the
-    // cached per-address verdict against the service's own (frozen)
-    // blocklist so eligible_targets() agrees with a never-archived run.
+    // cached per-address verdict against the service's own blocklist so
+    // eligible_targets() agrees with a never-archived run.
     service->input_.add(a, tags, first, &service->blocklist_);
   }
 
@@ -195,7 +212,7 @@ std::unique_ptr<HitlistService> ServiceArchive::load(
     e.scan_targets = r.u64();
     e.aliased_prefixes = r.u64();
     r.raw(&e.duration_days, sizeof e.duration_days);
-    const std::uint64_t rows = r.u64();
+    const std::uint64_t rows = r.count(16 + 1);  // address, mask
     e.responsive.reserve(rows);
     for (std::uint64_t k = 0; k < rows && r.ok; ++k) {
       const Ipv6 a = r.addr();
@@ -207,17 +224,14 @@ std::unique_ptr<HitlistService> ServiceArchive::load(
   const std::uint64_t n_scans = r.u64();
   for (std::uint64_t i = 0; i < n_scans && r.ok; ++i) {
     std::vector<Prefix> scan;
-    const std::uint64_t count = r.u64();
+    const std::uint64_t count = r.count(16 + 1);  // base, length
     scan.reserve(count);
     for (std::uint64_t k = 0; k < count && r.ok; ++k)
       scan.push_back(r.prefix());
     service->aliased_per_scan_.push_back(std::move(scan));
   }
-  if (!service->aliased_per_scan_.empty()) {
-    for (const auto& p : service->aliased_per_scan_.back())
-      service->aliased_.add(p);
-    service->aliased_.freeze();
-  }
+  if (!service->aliased_per_scan_.empty())
+    service->aliased_ = PrefixSet(service->aliased_per_scan_.back());
 
   const std::uint64_t n_pool = r.u64();
   for (std::uint64_t i = 0; i < n_pool && r.ok; ++i) {
@@ -252,7 +266,7 @@ std::unique_ptr<HitlistService> ServiceArchive::load(
       .attr("history", static_cast<std::uint64_t>(n_entries))
       .attr("ok", ok ? "true" : "false");
   if (!ok) {
-    Logger::global().warn("archive", "'" + path + "' is truncated");
+    Logger::global().warn("archive", "'" + path + "' is truncated or corrupt");
     return nullptr;
   }
   return service;

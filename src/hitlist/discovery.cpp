@@ -118,8 +118,8 @@ NewSourceEvaluator::SourceReport NewSourceEvaluator::evaluate(
   // Filter 2: known aliased prefixes + blocklist — two merge passes over
   // the sorted candidates (both filters drop covered addresses, so the
   // sequence equals the erase_if over the union).
-  batch.filter_covered(service_->aliased().to_vector());
-  batch.filter_covered(service_->blocklist().to_vector());
+  batch.filter_covered(service_->aliased().prefixes());
+  batch.filter_covered(service_->blocklist().prefixes());
   batch.copy_to(candidates);
   rep.non_aliased = candidates.size();
   rep.candidate_ases =

@@ -23,6 +23,7 @@ HitlistService::HitlistService(Config cfg)
     : cfg_(std::move(cfg)),
       owned_metrics_(cfg_.metrics != nullptr ? nullptr : new MetricsRegistry),
       metrics_(cfg_.metrics != nullptr ? cfg_.metrics : owned_metrics_.get()),
+      blocklist_(cfg_.blocklist_prefixes),
       sources_(cfg_.sources),
       apd_([this] {
         AliasDetector::Config c = cfg_.apd;
@@ -46,10 +47,6 @@ HitlistService::HitlistService(Config cfg)
     attached_tracer_ = true;
   }
   gfw_.set_metrics(metrics_);
-  for (const auto& p : cfg_.blocklist_prefixes) blocklist_.add(p);
-  // Immutable from here on: freeze for snapshot-backed coverage queries
-  // (and InputDb caches the per-address verdict on first insertion).
-  blocklist_.freeze();
   pool_ = ThreadPool::create(cfg_.threads);
   if (pool_) pool_->set_metrics(metrics_);
   zmap_.set_pool(pool_);

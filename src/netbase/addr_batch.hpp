@@ -90,9 +90,9 @@ class AddrBatch {
   /// Remove every address covered by any of `sorted_prefixes` (when
   /// `keep_covered`, remove every address NOT covered). The prefixes must
   /// be in lexicographic (base, len) order — exactly what
-  /// FrozenLpm::prefixes(), PrefixSet::to_vector() and PrefixTrie::visit
-  /// produce — and pairwise nested or disjoint (always true of prefix
-  /// sets). One merge pass over batch + table; requires sorted().
+  /// FrozenLpm::prefixes() and PrefixSet::prefixes() return — and
+  /// pairwise nested or disjoint (always true of prefix sets). One merge
+  /// pass over batch + table; requires sorted().
   void filter_covered(std::span<const Prefix> sorted_prefixes,
                       bool keep_covered = false,
                       MetricsRegistry* reg = nullptr);

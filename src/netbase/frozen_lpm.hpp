@@ -4,45 +4,56 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
-#include "netbase/prefix_trie.hpp"
+#include "netbase/prefix.hpp"
 
 namespace sixdust {
 
-/// Immutable longest-prefix-match snapshot, flattened from a PrefixTrie.
+/// Immutable longest-prefix-match table, built once from a column of
+/// (prefix, value) entries. This is the one LPM structure in sixdust.
 ///
 /// The prefix set is compiled once into a sorted interval table: every
-/// address maps to the most specific covering prefix, so the 128-level (or
-/// 32-level, for the compressed trie) descent collapses into a single
-/// binary search over a contiguous array of 128-bit boundaries. The
-/// boundaries are stored in Eytzinger (BFS heap) order, which turns the
-/// search into a tight, prefetch-friendly loop over one flat array. This
-/// is the structure behind the read-mostly consumers that never mutate
-/// while a scan is probing: the RIB after world build, the service
-/// blocklist, the deployment map, and the per-scan aliased set.
+/// address maps to the most specific covering prefix, so the 128-level
+/// descent collapses into a single binary search over a contiguous array
+/// of 128-bit boundaries. The boundaries are stored in Eytzinger (BFS
+/// heap) order, which turns the search into a tight, prefetch-friendly
+/// loop over one flat array. Every prefix lookup goes through it: the RIB,
+/// the blocklist, the deployment map, CDN alias coverage and the per-scan
+/// aliased set.
 ///
-/// Construction consumes the trie's lexicographic visit order, so two
-/// tries holding the same (prefix, value) pairs freeze into byte-identical
-/// tables regardless of insertion order — lookups stay deterministic.
+/// Construction stable-sorts the column by Prefix order, (base, len), and
+/// keeps the last value of a repeated prefix. Two columns holding the same
+/// entries in any order therefore build identical tables, and lookups stay
+/// deterministic.
 ///
 /// Thread-safety: a FrozenLpm is deeply immutable after construction; any
 /// number of threads may call the const interface concurrently without
 /// synchronization. There is deliberately no way to add or remove entries
-/// — rebuild from a trie to change the set (see DESIGN.md, "The LPM
+/// — build a new table to change the set (see DESIGN.md, "The LPM
 /// layer").
 template <typename T>
 class FrozenLpm {
  public:
-  FrozenLpm() = default;
+  /// An empty table: compile() still lays down the `::` boundary that
+  /// slot_of() relies on, so every query answers "no match".
+  FrozenLpm() { compile(); }
 
-  explicit FrozenLpm(const PrefixTrie<T>& trie) {
-    prefixes_.reserve(trie.size());
-    values_.reserve(trie.size());
-    trie.visit([&](const Prefix& p, const T& v) {
+  explicit FrozenLpm(std::vector<std::pair<Prefix, T>> entries) {
+    std::stable_sort(
+        entries.begin(), entries.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    prefixes_.reserve(entries.size());
+    values_.reserve(entries.size());
+    for (auto& [p, v] : entries) {
+      if (!prefixes_.empty() && prefixes_.back() == p) {
+        values_.back() = std::move(v);  // a repeated prefix: last one wins
+        continue;
+      }
       prefixes_.push_back(p);
-      values_.push_back(v);
-    });
+      values_.push_back(std::move(v));
+    }
     compile();
   }
 
@@ -88,7 +99,6 @@ class FrozenLpm {
   /// prefetched ahead.
   [[nodiscard]] std::int32_t slot_of(const Ipv6& a) const {
     const std::size_t n = ekey_.size() - 1;  // slot 0 unused (heap layout)
-    if (n == 0) return -1;
     const u128 key = pack(a);
     std::size_t k = 1;
     while (k <= n) {

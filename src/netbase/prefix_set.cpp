@@ -1,41 +1,32 @@
 #include "netbase/prefix_set.hpp"
 
+#include <algorithm>
+
 namespace sixdust {
 
-void PrefixSet::add(const Prefix& p) {
-  trie_.insert(p, 1);
-  frozen_.reset();
+namespace {
+
+std::vector<std::pair<Prefix, char>> members(
+    const std::vector<Prefix>& prefixes) {
+  std::vector<std::pair<Prefix, char>> out;
+  out.reserve(prefixes.size());
+  for (const auto& p : prefixes) out.emplace_back(p, 1);
+  return out;
 }
 
-void PrefixSet::freeze() {
-  if (!frozen_) frozen_.emplace(trie_);
-}
+}  // namespace
+
+PrefixSet::PrefixSet(const std::vector<Prefix>& prefixes)
+    : lpm_(members(prefixes)) {}
 
 bool PrefixSet::contains_exact(const Prefix& p) const {
-  return trie_.exact(p) != nullptr;
-}
-
-bool PrefixSet::covers(const Ipv6& a) const {
-  if (frozen_) return frozen_->covers(a);
-  return trie_.covers(a);
+  return std::binary_search(prefixes().begin(), prefixes().end(), p);
 }
 
 std::optional<Prefix> PrefixSet::covering(const Ipv6& a) const {
-  if (frozen_) {
-    auto m = frozen_->longest_match(a);
-    if (!m) return std::nullopt;
-    return m->prefix;
-  }
-  auto m = trie_.longest_match(a);
+  auto m = lpm_.longest_match(a);
   if (!m) return std::nullopt;
   return m->prefix;
-}
-
-std::vector<Prefix> PrefixSet::to_vector() const {
-  std::vector<Prefix> out;
-  out.reserve(trie_.size());
-  trie_.visit([&](const Prefix& p, const char&) { out.push_back(p); });
-  return out;
 }
 
 }  // namespace sixdust

@@ -4,37 +4,32 @@
 #include <vector>
 
 #include "netbase/frozen_lpm.hpp"
-#include "netbase/prefix_trie.hpp"
 
 namespace sixdust {
 
-/// A set of prefixes with coverage queries — used for blocklists and the
-/// aliased-prefix filter. An address is "covered" when any member prefix
-/// contains it.
-///
-/// Read-mostly consumers call freeze() once the set is complete (the
-/// service blocklist at construction, the per-scan aliased set after
-/// detection): coverage queries then run on a FrozenLpm snapshot instead
-/// of walking the trie. add() after freeze() drops the snapshot and
-/// returns to trie-backed queries; a frozen set is safe to query from any
-/// number of threads concurrently.
+/// An immutable set of prefixes with coverage queries — used for
+/// blocklists, the aliased-prefix filter and CDN alias coverage. An
+/// address is "covered" when any member prefix contains it. The set is
+/// built once from its members (in any order, repeats collapse) and is
+/// safe to query from any number of threads concurrently.
 class PrefixSet {
  public:
-  void add(const Prefix& p);
-  /// Compile the immutable lookup snapshot; idempotent.
-  void freeze();
-  [[nodiscard]] bool frozen() const { return frozen_.has_value(); }
+  PrefixSet() = default;
+  explicit PrefixSet(const std::vector<Prefix>& prefixes);
+
   [[nodiscard]] bool contains_exact(const Prefix& p) const;
-  [[nodiscard]] bool covers(const Ipv6& a) const;
+  [[nodiscard]] bool covers(const Ipv6& a) const { return lpm_.covers(a); }
   /// Most-specific covering prefix, if any.
   [[nodiscard]] std::optional<Prefix> covering(const Ipv6& a) const;
-  [[nodiscard]] std::size_t size() const { return trie_.size(); }
-  [[nodiscard]] bool empty() const { return trie_.empty(); }
-  [[nodiscard]] std::vector<Prefix> to_vector() const;
+  [[nodiscard]] std::size_t size() const { return lpm_.size(); }
+  [[nodiscard]] bool empty() const { return lpm_.empty(); }
+  /// The members in lexicographic (base, len) order.
+  [[nodiscard]] const std::vector<Prefix>& prefixes() const {
+    return lpm_.prefixes();
+  }
 
  private:
-  PrefixTrie<char> trie_;
-  std::optional<FrozenLpm<char>> frozen_;
+  FrozenLpm<char> lpm_;
 };
 
 }  // namespace sixdust

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "hitlist/service.hpp"
-#include "netbase/prefix_trie.hpp"
 #include "topo/world.hpp"
 
 namespace sixdust::serve {
@@ -20,12 +19,6 @@ void fnv(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-FrozenLpm<std::uint8_t> freeze_prefixes(const std::vector<Prefix>& prefixes) {
-  PrefixTrie<std::uint8_t> trie;
-  for (const auto& p : prefixes) trie.insert(p, 1);
-  return FrozenLpm<std::uint8_t>(trie);
-}
-
 }  // namespace
 
 EpochSnapshot::EpochSnapshot(
@@ -33,7 +26,7 @@ EpochSnapshot::EpochSnapshot(
     const std::vector<Prefix>& aliased, const Rib* rib)
     : info_(std::move(info)),
       responsive_(std::move(responsive)),
-      aliased_(freeze_prefixes(aliased)),
+      aliased_(aliased),
       rib_(rib) {
   digest_ = content_digest();
 }
@@ -46,12 +39,6 @@ std::optional<ProtoMask> EpochSnapshot::lookup(const Ipv6& a) const {
       });
   if (it == responsive_.end() || it->first != a) return std::nullopt;
   return it->second;
-}
-
-std::optional<Prefix> EpochSnapshot::alias_prefix(const Ipv6& a) const {
-  const auto m = aliased_.longest_match(a);
-  if (!m) return std::nullopt;
-  return m->prefix;
 }
 
 std::uint64_t EpochSnapshot::content_digest() const {

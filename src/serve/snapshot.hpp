@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "asdb/rib.hpp"
-#include "netbase/frozen_lpm.hpp"
+#include "netbase/prefix_set.hpp"
 #include "proto/types.hpp"
 
 namespace sixdust {
@@ -22,8 +22,8 @@ namespace sixdust::serve {
 /// the unit the daemon publishes and every query resolves against.
 ///
 /// A snapshot is deeply immutable after construction (the responsive table
-/// is sorted, the aliased set is a FrozenLpm, the RIB pointer refers to
-/// the world's frozen RIB), so any number of reader threads may query one
+/// is sorted, the aliased set is a PrefixSet, the RIB pointer refers to
+/// the world's immutable RIB), so any number of reader threads may query one
 /// concurrently without synchronization — the same contract as FrozenLpm
 /// (DESIGN.md §8). Epoch isolation comes from never mutating a snapshot:
 /// the next epoch freezes a new one and swaps it in (see SnapshotManager).
@@ -56,7 +56,9 @@ class EpochSnapshot {
     return aliased_.covers(a);
   }
   /// The covering aliased prefix, if any.
-  [[nodiscard]] std::optional<Prefix> alias_prefix(const Ipv6& a) const;
+  [[nodiscard]] std::optional<Prefix> alias_prefix(const Ipv6& a) const {
+    return aliased_.covering(a);
+  }
 
   /// Most-specific announced route covering `a` (origin AS lookup).
   [[nodiscard]] std::optional<Rib::Route> origin(const Ipv6& a) const {
@@ -86,7 +88,7 @@ class EpochSnapshot {
  private:
   Info info_;
   std::vector<std::pair<Ipv6, ProtoMask>> responsive_;
-  FrozenLpm<std::uint8_t> aliased_;
+  PrefixSet aliased_;
   const Rib* rib_ = nullptr;
   std::uint64_t digest_ = 0;
 };

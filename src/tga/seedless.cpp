@@ -2,7 +2,6 @@
 
 #include "core/parallel.hpp"
 #include "netbase/frozen_lpm.hpp"
-#include "netbase/prefix_set.hpp"
 #include "obs/metrics.hpp"
 
 namespace sixdust {
@@ -10,16 +9,16 @@ namespace sixdust {
 std::vector<Ipv6> Seedless::generate(const Rib& rib,
                                      std::span<const Ipv6> covered,
                                      std::size_t budget) const {
-  // Mark announced prefixes that already contain a seed. The trie is
-  // frozen into an interval table first: the per-address longest-prefix
-  // lookup over the hitlist-scale `covered` set is the hot loop here, and
-  // the frozen form is both faster and safely shared across the pool.
+  // Mark announced prefixes that already contain a seed. The per-address
+  // longest-prefix lookup over the hitlist-scale `covered` set is the hot
+  // loop here; the route-index table is shared read-only across the pool.
   // Route membership is a set union, so the per-chunk bitmaps merge
   // commutatively — any thread count yields the same marks.
-  PrefixTrie<std::size_t> route_trie;
+  std::vector<std::pair<Prefix, std::size_t>> routes;
+  routes.reserve(rib.routes().size());
   for (std::size_t i = 0; i < rib.routes().size(); ++i)
-    route_trie.insert(rib.routes()[i].prefix, i);
-  const FrozenLpm<std::size_t> route_index(route_trie);
+    routes.emplace_back(rib.routes()[i].prefix, i);
+  const FrozenLpm<std::size_t> route_index(std::move(routes));
   const std::size_t chunks = parallel_chunks(pool_, covered.size());
   const auto covered_routes = ordered_reduce(
       pool_, chunks, std::vector<std::uint8_t>(rib.routes().size(), 0),

@@ -6,8 +6,8 @@
 
 namespace sixdust {
 
-AliasedRegion::AliasedRegion(Config cfg) : cfg_(std::move(cfg)) {
-  for (const auto& p : cfg_.prefixes) coverage_.add(p);
+AliasedRegion::AliasedRegion(Config cfg)
+    : cfg_(std::move(cfg)), coverage_(cfg_.prefixes) {
   sparse_units_.resize(cfg_.prefixes.size());
 }
 

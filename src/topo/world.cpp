@@ -25,14 +25,13 @@ World::World(AsRegistry registry, Rib rib, Gfw gfw,
       deployments_(std::move(deployments)),
       transits_(std::move(transits)),
       seed_(seed) {
-  // The routing table and deployment map are immutable from here on: every
-  // probe resolves through them, so both are frozen into flat LPM
-  // snapshots (see DESIGN.md, "The LPM layer").
-  rib_.freeze();
-  PrefixTrie<std::size_t> by_prefix;
+  // The deployment map is immutable from here on: every probe resolves
+  // through it, like the RIB (see DESIGN.md, "The LPM layer").
+  std::vector<std::pair<Prefix, std::size_t>> by_prefix;
   for (std::size_t i = 0; i < deployments_.size(); ++i)
-    for (const auto& p : deployments_[i]->prefixes()) by_prefix.insert(p, i);
-  by_prefix_ = FrozenLpm<std::size_t>(by_prefix);
+    for (const auto& p : deployments_[i]->prefixes())
+      by_prefix.emplace_back(p, i);
+  by_prefix_ = FrozenLpm<std::size_t>(std::move(by_prefix));
 }
 
 const Deployment* World::deployment_of(const Ipv6& a) const {

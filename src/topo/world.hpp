@@ -159,7 +159,7 @@ class World {
   std::vector<std::unique_ptr<Deployment>> deployments_;
   std::vector<TransitAs> transits_;
   std::uint64_t seed_;
-  /// Deployment index by covering prefix — frozen in the constructor
+  /// Deployment index by covering prefix — built in the constructor
   /// (deployments never change after world build), so deployment_of() is
   /// one binary search on every probe path.
   FrozenLpm<std::size_t> by_prefix_;

@@ -21,14 +21,14 @@ struct Builder {
 
   const WorldConfig& cfg;
   AsRegistry registry = AsRegistry::well_known();
-  Rib rib;
+  std::vector<Rib::Route> routes;
   std::vector<std::unique_ptr<Deployment>> deps;
   std::vector<World::TransitAs> transits;
 
   [[nodiscard]] std::uint32_t n(double v) const { return sc(cfg.scale, v); }
 
   void announce_all(const Deployment& d) {
-    for (const auto& p : d.prefixes()) rib.announce(p, d.asn());
+    for (const auto& p : d.prefixes()) routes.push_back({p, d.asn()});
   }
 
   template <typename D, typename C>
@@ -270,9 +270,9 @@ struct Builder {
     fastly.domain_share = 0.005;
     fastly.seed = hash_combine(cfg.seed, kAsFastly);
     add<AliasedRegion>(fastly);
-    rib.announce(pfx("2a04:4e41::/38"), kAsFastly);
-    rib.announce(pfx("2a04:4e41:4000::/38"), kAsFastly);
-    rib.announce(pfx("2a04:4e41:8000::/38"), kAsFastly);
+    routes.push_back({pfx("2a04:4e41::/38"), kAsFastly});
+    routes.push_back({pfx("2a04:4e41:4000::/38"), kAsFastly});
+    routes.push_back({pfx("2a04:4e41:8000::/38"), kAsFastly});
 
     // Akamai main network: the /48 that blew up 6Tree (8.3 M incremental
     // addresses), plus general edge /64s. Load-balanced — the partial-PMTU
@@ -530,7 +530,7 @@ struct Builder {
   void add_transits() {
     transits.push_back(
         World::TransitAs{kAsLevel3, pfx("2001:1900::/32"), sc(cfg.scale, 64)});
-    rib.announce(pfx("2001:1900::/32"), kAsLevel3);
+    routes.push_back({pfx("2001:1900::/32"), kAsLevel3});
   }
 
   std::unique_ptr<World> build() {
@@ -540,9 +540,9 @@ struct Builder {
     add_cdns();
     add_censored();
     add_tail();
-    return std::make_unique<World>(std::move(registry), std::move(rib),
-                                   Gfw{cfg.gfw}, std::move(deps),
-                                   std::move(transits), cfg.seed);
+    return std::make_unique<World>(
+        std::move(registry), Rib(std::move(routes)), Gfw{cfg.gfw},
+        std::move(deps), std::move(transits), cfg.seed);
   }
 };
 

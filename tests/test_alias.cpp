@@ -191,6 +191,25 @@ TEST_F(AliasTest, ShorterAliasedPrefixSubsumesContainedCandidates) {
     }
   }
   EXPECT_TRUE(found28);
+
+  // Published in (len, base) order, and no member contains another.
+  const auto& aliased = detection.aliased;
+  for (std::size_t i = 1; i < aliased.size(); ++i) {
+    const Prefix& a = aliased[i - 1];
+    const Prefix& b = aliased[i];
+    EXPECT_TRUE(a.len() < b.len() || (a.len() == b.len() && a < b))
+        << a.str() << " before " << b.str();
+  }
+  for (const auto& a : aliased) {
+    for (const auto& b : aliased) {
+      if (a != b) {
+        EXPECT_FALSE(a.contains(b)) << a.str() << " " << b.str();
+      }
+    }
+  }
+  auto sorted = aliased;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(detection.aliased_set.prefixes(), sorted);
 }
 
 TEST_F(AliasTest, HistoryMergingRecoversLoss) {

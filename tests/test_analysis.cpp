@@ -42,9 +42,7 @@ TEST(Distribution, CdfSampling) {
 }
 
 TEST(Distribution, OfAttributesViaRib) {
-  Rib rib;
-  rib.announce(pfx("2001:db8::/32"), 64512);
-  rib.announce(pfx("2a00::/16"), 64513);
+  const Rib rib({{pfx("2001:db8::/32"), 64512}, {pfx("2a00::/16"), 64513}});
   std::vector<Ipv6> addrs = {ip("2001:db8::1"), ip("2001:db8::2"),
                              ip("2a00:1::1"), ip("9999::1")};
   const auto d = AsDistribution::of(rib, addrs);

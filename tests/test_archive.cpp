@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "hitlist/archive.hpp"
+#include "obs/log.hpp"
 #include "topo/world_builder.hpp"
 
 namespace sixdust {
@@ -124,6 +125,50 @@ TEST(Archive, RejectsPoolAddressOutsideInput) {
   ASSERT_EQ(std::fwrite(words, 1, sizeof words, f), sizeof words);
   std::fclose(f);
   EXPECT_EQ(ServiceArchive::load(cfg, 3, path), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST(Archive, RejectsOversizedCountsAndPrefixLengths) {
+  auto world = build_test_world(84);
+  HitlistService::Config cfg;
+  HitlistService service(cfg);
+  for (int i = 0; i < 4; ++i) service.step(*world, ScanDate{i});
+  const auto& last_scan = service.aliased_per_scan().back();
+  ASSERT_FALSE(last_scan.empty());
+  const std::string path = ::testing::TempDir() + "/sixdust_archive_size.bin";
+
+  // Offsets into the v4 layout. From the front: 16 header bytes, the
+  // input count and 22 bytes per input, the history count, then the first
+  // entry's 4 + 3 * 8 + 8 fixed bytes before its row count. From the back:
+  // the taint and pool sections, then the last scan's prefixes (17 bytes
+  // each) behind their count.
+  const long rows_at =
+      16 + 8 + 22 * static_cast<long>(service.input().size()) + 8 + 36;
+  const long tail =
+      8 + 25 * static_cast<long>(service.gfw().taint_records().size()) + 8 +
+      16 * static_cast<long>(service.unresponsive_pool().size());
+  const long count_at = -(tail + 17 * static_cast<long>(last_scan.size()) + 8);
+  const long len_at = -(tail + 1);
+
+  const auto load_patched = [&](long offset, int whence, const void* bytes,
+                                std::size_t n) {
+    ASSERT_TRUE(ServiceArchive::save(service, 4, path));
+    ASSERT_NE(ServiceArchive::load(cfg, 4, path), nullptr);
+    FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, offset, whence), 0);
+    ASSERT_EQ(std::fwrite(bytes, 1, n, f), n);
+    std::fclose(f);
+    Logger::global().set_capture(true);
+    EXPECT_EQ(ServiceArchive::load(cfg, 4, path), nullptr);
+    EXPECT_NE(Logger::global().take_captured().find(path), std::string::npos);
+    Logger::global().set_capture(false);
+  };
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  load_patched(rows_at, SEEK_SET, &huge, sizeof huge);
+  load_patched(count_at, SEEK_END, &huge, sizeof huge);
+  const std::uint8_t len = 200;
+  load_patched(len_at, SEEK_END, &len, sizeof len);
   std::remove(path.c_str());
 }
 

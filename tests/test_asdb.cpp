@@ -37,9 +37,7 @@ TEST(Registry, WellKnownContainsThePapersCast) {
 }
 
 TEST(Rib, LongestPrefixMatchWins) {
-  Rib rib;
-  rib.announce(pfx("2001:db8::/32"), 1);
-  rib.announce(pfx("2001:db8:ff00::/40"), 2);
+  const Rib rib({{pfx("2001:db8::/32"), 1}, {pfx("2001:db8:ff00::/40"), 2}});
   EXPECT_EQ(rib.origin(ip("2001:db8::1")), std::optional<Asn>{1});
   EXPECT_EQ(rib.origin(ip("2001:db8:ff00::1")), std::optional<Asn>{2});
   EXPECT_EQ(rib.origin(ip("9999::1")), std::nullopt);
@@ -50,10 +48,9 @@ TEST(Rib, LongestPrefixMatchWins) {
 }
 
 TEST(Rib, PerAsAccounting) {
-  Rib rib;
-  rib.announce(pfx("2001:db8::/32"), 1);
-  rib.announce(pfx("2a00::/32"), 1);
-  rib.announce(pfx("2a02::/48"), 2);
+  const Rib rib({{pfx("2001:db8::/32"), 1},
+                 {pfx("2a00::/32"), 1},
+                 {pfx("2a02::/48"), 2}});
   EXPECT_EQ(rib.prefix_count(), 3u);
   EXPECT_EQ(rib.as_count(), 2u);
   EXPECT_EQ(rib.prefixes_of(1).size(), 2u);
@@ -67,9 +64,7 @@ TEST(Geo, MapsAddressesViaOriginAs) {
   AsRegistry reg;
   reg.add({4134, "CT", "CN", AsKind::Transit});
   reg.add({3320, "DTAG", "DE", AsKind::Isp});
-  Rib rib;
-  rib.announce(pfx("240e::/20"), 4134);
-  rib.announce(pfx("2003::/19"), 3320);
+  const Rib rib({{pfx("240e::/20"), 4134}, {pfx("2003::/19"), 3320}});
   GeoDb geo(&rib, &reg);
   EXPECT_EQ(geo.country(ip("240e:123::1")), "CN");
   EXPECT_EQ(geo.country(ip("2003:42::1")), "DE");

@@ -1,13 +1,16 @@
 // Tests for the CLI argument parser shared by the sixdust-* tools, and
 // spawn-level checks of the tools' fail-fast paths (unknown options, bad
-// --listen, unwritable output files, unreachable server).
+// --listen, unwritable output files, unreachable server) and of one
+// scan run with and without a blocklist.
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "cli.hpp"
@@ -193,6 +196,20 @@ TEST(CliTopTool, ExitsNonzeroOnBadConnectSpec) {
   const int code = run_tool("sixdust-top", "--connect nonsense");
   if (code == -2) GTEST_SKIP() << "sixdust-top not built";
   EXPECT_GT(code, 0);
+}
+
+TEST(CliScanTool, ScansWithAndWithoutBlocklist) {
+  // Without --blocklist the scanner queries an empty prefix set.
+  const int bare = run_tool("sixdust-scan", "--proto icmp");
+  if (bare == -2) GTEST_SKIP() << "sixdust-scan not built";
+  EXPECT_EQ(bare, 0);
+  const std::string path = ::testing::TempDir() + "/sixdust_scan_block.txt";
+  {
+    std::ofstream f(path);
+    f << "2001:db8::/32\n";
+  }
+  EXPECT_EQ(run_tool("sixdust-scan", "--proto icmp --blocklist " + path), 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Randomized differential tests: the prefix trie against a naive
-// reference, the IPv6 codec against the platform's inet_pton/inet_ntop,
-// prefix arithmetic against bit-level reference implementations, and the
-// metrics registry against the scan results it accounts for.
+// Randomized differential tests: the LPM table against a naive reference,
+// the IPv6 codec against the platform's inet_pton/inet_ntop, prefix
+// arithmetic against bit-level reference implementations, the metrics
+// registry against the scan results it accounts for, and the parsers that
+// read outside bytes (address/prefix lists, serve frames, HTTP lines).
 
 #include <gtest/gtest.h>
 
@@ -9,12 +10,18 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/thread_pool.hpp"
 #include "gfw/detector.hpp"
 #include "netbase/addr_batch.hpp"
-#include "netbase/prefix_trie.hpp"
+#include "netbase/addrio.hpp"
+#include "netbase/frozen_lpm.hpp"
+#include "netbase/prefix_set.hpp"
 #include "netbase/rng.hpp"
 #include "obs/metrics.hpp"
 #include "scanner/zmap6.hpp"
@@ -61,40 +68,47 @@ struct NaiveLpm {
   }
 };
 
+// The suite name predates the column builder; it is kept so test history
+// carries over.
 class TrieFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(TrieFuzz, MatchesNaiveReference) {
   Rng rng(1000 + static_cast<std::uint64_t>(GetParam()));
-  PrefixTrie<int> trie;
+  std::vector<std::pair<Prefix, int>> column;
   NaiveLpm naive;
   const int n = GetParam();
-  std::vector<Prefix> inserted;
   for (int i = 0; i < n; ++i) {
     const Prefix p = random_prefix(rng);
-    trie.insert(p, i);
+    column.emplace_back(p, i);
     naive.insert(p, i);
-    inserted.push_back(p);
   }
+  const FrozenLpm<int> lpm(column);
   // Probe random addresses plus addresses inside inserted prefixes (to
   // exercise matches at all depths).
   for (int i = 0; i < 400; ++i) {
     Ipv6 probe = random_addr(rng);
-    if (i % 2 == 0 && !inserted.empty())
-      probe = inserted[rng.below(inserted.size())].random_address(rng.next());
-    const auto got = trie.longest_match(probe);
+    if (i % 2 == 0 && !column.empty())
+      probe = column[rng.below(column.size())].first.random_address(rng.next());
+    const auto got = lpm.longest_match(probe);
     const auto want = naive.longest_match(probe);
     ASSERT_EQ(got.has_value(), want.has_value()) << probe.str();
     if (got) {
       EXPECT_EQ(*got->value, *want) << probe.str();
     }
   }
-  // Exact lookups agree for every inserted prefix.
+  // Every distinct inserted prefix is stored once, in (base, len) order,
+  // and resolves to its value where it is the most specific match.
+  std::vector<Prefix> want;
   for (const auto& [p, v] : naive.entries) {
-    const int* got = trie.exact(p);
-    ASSERT_NE(got, nullptr) << p.str();
-    EXPECT_EQ(*got, v);
+    want.push_back(p);
+    const auto m = lpm.longest_match(p.base());
+    ASSERT_TRUE(m.has_value()) << p.str();
+    if (m->prefix == p) {
+      EXPECT_EQ(*m->value, v) << p.str();
+    }
   }
-  EXPECT_EQ(trie.size(), naive.entries.size());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(lpm.prefixes(), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Densities, TrieFuzz,
@@ -284,11 +298,10 @@ TEST_P(MetricsFuzz, ScanCountersMatchScanResults) {
   ASSERT_FALSE(targets.empty());
 
   // A random blocklist over a few target /48s exercises the blocked path.
-  PrefixSet blocklist;
+  std::vector<Prefix> blocked;
   for (int i = 0; i < 5; ++i)
-    blocklist.add(
-        Prefix::make(targets[rng.below(targets.size())], 48));
-  blocklist.freeze();
+    blocked.push_back(Prefix::make(targets[rng.below(targets.size())], 48));
+  const PrefixSet blocklist(blocked);
 
   MetricsRegistry reg;
   Zmap6::Config zc;
@@ -600,6 +613,140 @@ TEST(HttpLineFuzz, MutatedValidLinesParseOrRejectCleanly) {
       EXPECT_EQ(req->path[0], '/');
     }
   }
+}
+
+// --- address/prefix list fuzz (--targets and --blocklist files) ----------
+
+/// The entry the list readers parse from one line: surrounding spaces,
+/// tabs and CRs trimmed, a '#' comment cut off (see addrio.hpp).
+std::string_view entry_text(std::string_view line) {
+  const auto trim = [](std::string_view t) {
+    const auto b = t.find_first_not_of(" \t\r");
+    if (b == std::string_view::npos) return std::string_view{};
+    return t.substr(b, t.find_last_not_of(" \t\r") - b + 1);
+  };
+  line = trim(line);
+  const auto hash = line.find('#');
+  return hash == std::string_view::npos ? line : trim(line.substr(0, hash));
+}
+
+/// Read `text` as a list. An accepted list must round-trip through the
+/// writer; a rejected one must name a line whose entry fails `parse`.
+/// Returns whether the list was accepted.
+template <typename T, typename Read, typename Write, typename Parse>
+bool check_list(const std::string& text, Read read, Write write,
+                Parse parse) {
+  std::istringstream in(text);
+  std::size_t bad = 0;
+  const std::optional<std::vector<T>> list = read(in, &bad);
+  if (list) {
+    std::ostringstream out;
+    write(out, std::span<const T>(*list), "fuzz");
+    std::istringstream back(out.str());
+    const auto again = read(back, nullptr);
+    EXPECT_TRUE(again.has_value()) << text;
+    if (again) {
+      EXPECT_EQ(*again, *list) << text;
+    }
+    return true;
+  }
+  const auto lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) +
+      1;
+  EXPECT_GE(bad, 1u) << text;
+  EXPECT_LE(bad, lines) << text;
+  if (bad < 1 || bad > lines) return false;
+  std::string_view line = text;
+  for (std::size_t i = 1; i < bad; ++i) line.remove_prefix(line.find('\n') + 1);
+  line = line.substr(0, line.find('\n'));
+  const std::string_view entry = entry_text(line);
+  EXPECT_FALSE(entry.empty()) << text;
+  EXPECT_FALSE(parse(entry).has_value()) << text;
+  return false;
+}
+
+/// Feed `text` to both list readers; counts accepted lists per reader.
+void check_both_readers(const std::string& text, int* addr_ok,
+                        int* prefix_ok) {
+  *addr_ok += check_list<Ipv6>(
+      text,
+      [](std::istream& in, std::size_t* bad) {
+        return read_address_list(in, bad);
+      },
+      [](std::ostream& out, std::span<const Ipv6> v, std::string_view h) {
+        write_address_list(out, v, h);
+      },
+      [](std::string_view t) { return Ipv6::parse(t); });
+  *prefix_ok += check_list<Prefix>(
+      text,
+      [](std::istream& in, std::size_t* bad) {
+        return read_prefix_list(in, bad);
+      },
+      [](std::ostream& out, std::span<const Prefix> v, std::string_view h) {
+        write_prefix_list(out, v, h);
+      },
+      [](std::string_view t) { return Prefix::parse(t); });
+}
+
+TEST(AddrIoFuzz, RandomBytesReadCleanly) {
+  Rng rng(881);
+  // Half the inputs draw from the list alphabet, so some lines parse.
+  static constexpr std::string_view kAlphabet = "0123456789abcdef:/.# \t\r\n";
+  int addr_ok = 0;
+  int prefix_ok = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const std::size_t len = rng.below(160);
+    std::string text;
+    for (std::size_t i = 0; i < len; ++i)
+      text.push_back(iter % 2 == 0
+                         ? static_cast<char>(rng.below(256))
+                         : kAlphabet[rng.below(kAlphabet.size())]);
+    check_both_readers(text, &addr_ok, &prefix_ok);
+  }
+  EXPECT_GT(addr_ok, 0);
+  EXPECT_GT(prefix_ok, 0);
+}
+
+TEST(AddrIoFuzz, MutatedValidListsRoundTripOrNameTheBadLine) {
+  Rng rng(882);
+  int addr_ok = 0;
+  int prefix_ok = 0;
+  for (int iter = 0; iter < 5000; ++iter) {
+    // A valid list: addresses or prefixes, zero-heavy ones included, with
+    // a comment line now and then.
+    const bool prefixes = iter % 2 == 0;
+    std::string text;
+    const std::size_t lines = 1 + rng.below(6);
+    for (std::size_t l = 0; l < lines; ++l) {
+      if (rng.below(6) == 0) text += "# comment\n";
+      Ipv6 a = random_addr(rng);
+      if (rng.below(2) == 0)
+        a = Ipv6::from_words(a.hi() & 0xffff, a.lo() & 0xff);
+      text += prefixes ? Prefix::make(a, static_cast<int>(rng.below(129))).str()
+                       : a.str();
+      text += '\n';
+    }
+    const unsigned mutations = static_cast<unsigned>(rng.below(4));
+    for (unsigned m = 0; m < mutations; ++m) {
+      const std::size_t pos = rng.below(text.size() + 1);
+      switch (rng.below(7)) {
+        case 0: text.insert(pos, "#"); break;
+        case 1: text.insert(pos, rng.below(2) == 0 ? "\r" : "\t"); break;
+        case 2: text.insert(pos, "/129"); break;
+        case 3: text.insert(pos, "/"); break;
+        case 4: text.insert(pos, "12345"); break;  // an overlong group
+        case 5:
+          if (pos < text.size()) text[pos] = static_cast<char>(rng.below(256));
+          break;
+        default:
+          if (pos < text.size()) text.erase(pos, 1);
+          break;
+      }
+    }
+    check_both_readers(text, &addr_ok, &prefix_ok);
+  }
+  EXPECT_GT(addr_ok, 0);
+  EXPECT_GT(prefix_ok, 0);
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
 // Unit + property tests for the netbase module: IPv6 parsing/formatting,
-// prefixes, tries, EUI-64, Teredo, hashing and RNG.
+// prefixes, the LPM table, EUI-64, Teredo, hashing and RNG.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "netbase/eui64.hpp"
+#include "netbase/frozen_lpm.hpp"
 #include "netbase/hash.hpp"
 #include "netbase/ipv6.hpp"
 #include "netbase/prefix.hpp"
 #include "netbase/prefix_set.hpp"
-#include "netbase/prefix_trie.hpp"
 #include "netbase/rng.hpp"
 #include "netbase/teredo.hpp"
 #include "netbase/u128.hpp"
@@ -159,62 +160,59 @@ TEST(Prefix, SizeAccounting) {
   EXPECT_EQ(u128_log2(pfx("2602:f000::/28").size()), 100);
 }
 
-TEST(PrefixTrie, ExactAndLongestMatch) {
-  PrefixTrie<int> trie;
-  trie.insert(pfx("2001:db8::/32"), 1);
-  trie.insert(pfx("2001:db8:1::/48"), 2);
-  trie.insert(pfx("::/0"), 0);
+TEST(FrozenLpm, ExactAndLongestMatch) {
+  const FrozenLpm<int> lpm{std::vector<std::pair<Prefix, int>>{
+      {pfx("2001:db8::/32"), 1}, {pfx("2001:db8:1::/48"), 2},
+      {pfx("::/0"), 0}}};
 
-  EXPECT_EQ(*trie.exact(pfx("2001:db8::/32")), 1);
-  EXPECT_EQ(trie.exact(pfx("2001:db8::/33")), nullptr);
+  EXPECT_TRUE(std::binary_search(lpm.prefixes().begin(),
+                                 lpm.prefixes().end(), pfx("2001:db8::/32")));
+  EXPECT_FALSE(std::binary_search(lpm.prefixes().begin(),
+                                  lpm.prefixes().end(), pfx("2001:db8::/33")));
 
-  auto m = trie.longest_match(ip("2001:db8:1::1"));
+  auto m = lpm.longest_match(ip("2001:db8:1::1"));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m->value, 2);
   EXPECT_EQ(m->prefix.str(), "2001:db8:1::/48");
 
-  m = trie.longest_match(ip("2001:db8:2::1"));
+  m = lpm.longest_match(ip("2001:db8:2::1"));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m->value, 1);
 
-  m = trie.longest_match(ip("9999::1"));
+  m = lpm.longest_match(ip("9999::1"));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m->value, 0);
 }
 
-TEST(PrefixTrie, VisitInOrderAndSize) {
-  PrefixTrie<int> trie;
-  trie.insert(pfx("2001:db8::/32"), 1);
-  trie.insert(pfx("2001:db8::/48"), 2);
-  trie.insert(pfx("2001:db7::/32"), 3);
-  EXPECT_EQ(trie.size(), 3u);
+TEST(FrozenLpm, PrefixesInOrderAndSize) {
+  const FrozenLpm<int> lpm{std::vector<std::pair<Prefix, int>>{
+      {pfx("2001:db8::/32"), 1}, {pfx("2001:db8::/48"), 2},
+      {pfx("2001:db7::/32"), 3}}};
+  EXPECT_EQ(lpm.size(), 3u);
 
-  std::vector<std::string> visited;
-  trie.visit([&](const Prefix& p, const int&) { visited.push_back(p.str()); });
-  ASSERT_EQ(visited.size(), 3u);
-  EXPECT_EQ(visited[0], "2001:db7::/32");
-  EXPECT_EQ(visited[1], "2001:db8::/32");
-  EXPECT_EQ(visited[2], "2001:db8::/48");
+  std::vector<std::string> stored;
+  for (const auto& p : lpm.prefixes()) stored.push_back(p.str());
+  ASSERT_EQ(stored.size(), 3u);
+  EXPECT_EQ(stored[0], "2001:db7::/32");
+  EXPECT_EQ(stored[1], "2001:db8::/32");
+  EXPECT_EQ(stored[2], "2001:db8::/48");
 }
 
-TEST(PrefixTrie, OverwriteKeepsSize) {
-  PrefixTrie<int> trie;
-  trie.insert(pfx("2001:db8::/32"), 1);
-  trie.insert(pfx("2001:db8::/32"), 9);
-  EXPECT_EQ(trie.size(), 1u);
-  EXPECT_EQ(*trie.exact(pfx("2001:db8::/32")), 9);
+TEST(FrozenLpm, RepeatedPrefixKeepsLastValue) {
+  const FrozenLpm<int> lpm{std::vector<std::pair<Prefix, int>>{
+      {pfx("2001:db8::/32"), 1}, {pfx("2001:db8::/32"), 9}}};
+  EXPECT_EQ(lpm.size(), 1u);
+  EXPECT_EQ(*lpm.lookup(ip("2001:db8::1")), 9);
 }
 
 TEST(PrefixSet, CoverageSemantics) {
-  PrefixSet set;
-  set.add(pfx("2600:1f00::/24"));
-  set.add(pfx("2a0d:5600::/48"));
+  const PrefixSet set({pfx("2600:1f00::/24"), pfx("2a0d:5600::/48")});
   EXPECT_TRUE(set.covers(ip("2600:1f12::99")));
   EXPECT_FALSE(set.covers(ip("2600:3c00::1")));
   EXPECT_EQ(set.covering(ip("2a0d:5600:0:1::2"))->str(), "2a0d:5600::/48");
   EXPECT_TRUE(set.contains_exact(pfx("2600:1f00::/24")));
   EXPECT_FALSE(set.contains_exact(pfx("2600:1f00::/32")));
-  EXPECT_EQ(set.to_vector().size(), 2u);
+  EXPECT_EQ(set.prefixes().size(), 2u);
 }
 
 TEST(Eui64, RoundTrip) {

@@ -183,8 +183,7 @@ TEST_F(ScannerTest, LossIsRecoveredByRetries) {
 TEST_F(ScannerTest, BlocklistSuppressesProbes) {
   const auto targets = responsive_sample(*world_, 50);
   ASSERT_FALSE(targets.empty());
-  PrefixSet blocklist;
-  blocklist.add(Prefix::make(targets[0], 48));
+  const PrefixSet blocklist({Prefix::make(targets[0], 48)});
   Zmap6::Config cfg{.seed = 3, .loss = 0.0};
   cfg.blocklist = &blocklist;
   Zmap6 zmap(cfg);

@@ -94,10 +94,9 @@ TEST(SixHit, WorksAgainstTheSimulatedInternet) {
 }
 
 TEST(Seedless, CoversOnlyUnseededPrefixes) {
-  Rib rib;
-  rib.announce(pfx("2001:db8::/32"), 1);
-  rib.announce(pfx("2a00:1450::/32"), 2);
-  rib.announce(pfx("2a02:26f0::/48"), 3);
+  const Rib rib({{pfx("2001:db8::/32"), 1},
+                 {pfx("2a00:1450::/32"), 2},
+                 {pfx("2a02:26f0::/48"), 3}});
   const std::vector<Ipv6> covered = {ip("2001:db8:42::1")};  // AS1 seeded
 
   Seedless gen{Seedless::Config{}};
@@ -117,11 +116,12 @@ TEST(Seedless, CoversOnlyUnseededPrefixes) {
 }
 
 TEST(Seedless, RespectsBudget) {
-  Rib rib;
+  std::vector<Rib::Route> routes;
   for (int i = 0; i < 100; ++i) {
     Ipv6 base = Ipv6::from_words((0x2a10ULL << 48) | (std::uint64_t(i) << 32), 0);
-    rib.announce(Prefix::make(base, 32), 1000u + static_cast<Asn>(i));
+    routes.push_back({Prefix::make(base, 32), 1000u + static_cast<Asn>(i)});
   }
+  const Rib rib(std::move(routes));
   Seedless gen{Seedless::Config{}};
   const auto cands = gen.generate(rib, {}, 73);
   EXPECT_LE(cands.size(), 73u);

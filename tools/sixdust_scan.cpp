@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   if (args.has("blocklist")) {
     auto prefixes = read_prefix_file(args.get("blocklist"));
     if (!prefixes) cli::die("cannot read blocklist");
-    for (const auto& p : *prefixes) blocklist.add(p);
+    blocklist = PrefixSet(*prefixes);
   }
 
   MetricsRegistry metrics;
