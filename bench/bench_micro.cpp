@@ -31,6 +31,7 @@
 #include "serve/telemetry.hpp"
 #include "tga/sixgraph.hpp"
 #include "tga/sixtree.hpp"
+#include "topo/isp_pool.hpp"
 #include "topo/world_builder.hpp"
 
 #include "support.hpp"
@@ -55,6 +56,49 @@ void BM_Ipv6Format(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Ipv6Format);
+
+// --- Address kernels: the word-level codecs on the World probe path -------
+
+void BM_PrefixRandomAddress(benchmark::State& state) {
+  // One APD-style probe address per iteration, in a prefix of length
+  // state.range(0).
+  const Prefix p = Prefix::make(ip("2a02:26f0:6c00:1234:5678:9abc:def0:1"),
+                                static_cast<int>(state.range(0)));
+  std::uint64_t salt = 0;
+  for (auto _ : state) {
+    auto a = p.random_address(++salt);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_PrefixRandomAddress)->Arg(32)->Arg(48)->Arg(64)->Arg(96);
+
+void BM_IspPoolHost(benchmark::State& state) {
+  // The probe mix an eyeball pool sees: its known CPE addresses (decoded
+  // down to the MAC draw) and random addresses inside its block (rejected
+  // by the subnet-field and EUI-64 checks).
+  IspPool::Config cfg;
+  cfg.asn = 65002;
+  cfg.prefix = pfx("2800:a000::/32");
+  cfg.subnet_bits = 24;
+  cfg.active_per_scan = 2000;
+  cfg.discovered_per_scan = 8000;
+  const IspPool pool(cfg);
+  const ScanDate d{0};
+  std::vector<KnownAddress> known;
+  pool.enumerate_known(d, known);
+  std::vector<Ipv6> probes;
+  for (std::size_t i = 0; i < known.size(); ++i) {
+    probes.push_back(known[i].addr);
+    probes.push_back(cfg.prefix.random_address(i));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto h = pool.host(probes[i], d);
+    benchmark::DoNotOptimize(h);
+    if (++i == probes.size()) i = 0;
+  }
+}
+BENCHMARK(BM_IspPoolHost);
 
 // --- LPM engine: realistic prefix distributions ---------------------------
 //

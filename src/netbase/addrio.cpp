@@ -1,5 +1,6 @@
 #include "netbase/addrio.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -37,7 +38,22 @@ std::optional<std::vector<T>> read_list(std::istream& in, ParseFn parse,
     }
     out.push_back(*value);
   }
+  // A read error (not end of input) must not pass for a shorter list.
+  if (in.bad()) {
+    if (error_line != nullptr) *error_line = lineno + 1;
+    return std::nullopt;
+  }
   return out;
+}
+
+/// Opens `path` for a list read; fails on a directory, which an ifstream
+/// opens but cannot read.
+std::optional<std::ifstream> open_list(const std::string& path) {
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) return std::nullopt;
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  return in;
 }
 
 }  // namespace
@@ -50,9 +66,9 @@ std::optional<std::vector<Ipv6>> read_address_list(std::istream& in,
 
 std::optional<std::vector<Ipv6>> read_address_file(const std::string& path,
                                                    std::size_t* error_line) {
-  std::ifstream in(path);
+  auto in = open_list(path);
   if (!in) return std::nullopt;
-  return read_address_list(in, error_line);
+  return read_address_list(*in, error_line);
 }
 
 std::optional<std::vector<Prefix>> read_prefix_list(std::istream& in,
@@ -63,9 +79,9 @@ std::optional<std::vector<Prefix>> read_prefix_list(std::istream& in,
 
 std::optional<std::vector<Prefix>> read_prefix_file(const std::string& path,
                                                     std::size_t* error_line) {
-  std::ifstream in(path);
+  auto in = open_list(path);
   if (!in) return std::nullopt;
-  return read_prefix_list(in, error_line);
+  return read_prefix_list(*in, error_line);
 }
 
 void write_address_list(std::ostream& out, std::span<const Ipv6> addrs,

@@ -16,7 +16,9 @@ namespace sixdust {
 /// aliased-prefix lists and blocklists.
 
 /// Parse a list of addresses. On malformed lines, parsing stops and
-/// nullopt is returned; `error_line` (1-based) reports the offender.
+/// nullopt is returned; `error_line` (1-based) reports the offender. A
+/// stream that fails with a read error (`bad()`), and for the file forms a
+/// path that is a directory, also give nullopt.
 [[nodiscard]] std::optional<std::vector<Ipv6>> read_address_list(
     std::istream& in, std::size_t* error_line = nullptr);
 [[nodiscard]] std::optional<std::vector<Ipv6>> read_address_file(

@@ -6,7 +6,19 @@
 #include <string>
 #include <string_view>
 
+#include "netbase/u128.hpp"
+
 namespace sixdust {
+
+/// Reverses the bit order of `x` (bit 0 <-> bit 63): a byte swap, then
+/// swaps of nibbles, bit pairs and single bits inside each byte.
+constexpr std::uint64_t bit_reverse64(std::uint64_t x) {
+  x = __builtin_bswap64(x);
+  x = (x & 0xF0F0F0F0F0F0F0F0ULL) >> 4 | (x & 0x0F0F0F0F0F0F0F0FULL) << 4;
+  x = (x & 0xCCCCCCCCCCCCCCCCULL) >> 2 | (x & 0x3333333333333333ULL) << 2;
+  x = (x & 0xAAAAAAAAAAAAAAAAULL) >> 1 | (x & 0x5555555555555555ULL) << 1;
+  return x;
+}
 
 /// 128-bit IPv6 address value type.
 ///
@@ -74,6 +86,29 @@ class Ipv6 {
     w = v ? (w | mask) : (w & ~mask);
   }
 
+  /// The `width`-bit field starting at bit `pos` (MSB-first like `bit()`,
+  /// so bit `pos` is the field's most significant bit), right-aligned.
+  /// Needs width in [0, 64] and pos + width <= 128; the field may cross
+  /// bit 64.
+  [[nodiscard]] constexpr std::uint64_t field(int pos, int width) const {
+    if (width == 0) return 0;
+    return static_cast<std::uint64_t>(value() >> (128 - pos - width)) &
+           low_mask(width);
+  }
+
+  /// This address with the `width`-bit field at `pos` set to the low
+  /// `width` bits of `v` (same bit numbering and limits as `field()`).
+  [[nodiscard]] constexpr Ipv6 with_field(int pos, int width,
+                                          std::uint64_t v) const {
+    if (width == 0) return *this;
+    const int shift = 128 - pos - width;
+    const u128 m = static_cast<u128>(low_mask(width)) << shift;
+    const u128 r =
+        (value() & ~m) | static_cast<u128>(v & low_mask(width)) << shift;
+    return from_words(static_cast<std::uint64_t>(r >> 64),
+                      static_cast<std::uint64_t>(r));
+  }
+
   /// Address arithmetic on the full 128-bit value (wraps on overflow).
   [[nodiscard]] constexpr Ipv6 plus(std::uint64_t delta) const {
     Ipv6 r = *this;
@@ -93,6 +128,14 @@ class Ipv6 {
   friend constexpr auto operator<=>(const Ipv6&, const Ipv6&) = default;
 
  private:
+  [[nodiscard]] constexpr u128 value() const {
+    return static_cast<u128>(hi_) << 64 | lo_;
+  }
+  static constexpr std::uint64_t low_mask(int width) {
+    return width >= 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << width) - 1;
+  }
+
   std::uint64_t hi_ = 0;
   std::uint64_t lo_ = 0;
 };

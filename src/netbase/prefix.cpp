@@ -27,12 +27,14 @@ std::optional<Prefix> Prefix::parse(std::string_view text) {
 Ipv6 Prefix::random_address(std::uint64_t salt) const {
   const std::uint64_t h0 = hash_combine(hash_of(base_, salt), len_);
   const std::uint64_t h1 = mix64(h0);
-  Ipv6 a = base_;
-  for (int b = len_; b < 128; ++b) {
-    const std::uint64_t h = b < 96 ? h0 : h1;
-    a.set_bit(b, (h >> (b & 63)) & 1);
-  }
-  return a;
+  // Address bit b (MSB-first) takes bit (b & 63) of h0 below bit 96 and of
+  // h1 from bit 96 on, so each word of the fill is a bit-reversed hash.
+  const std::uint64_t r0 = bit_reverse64(h0);
+  const std::uint64_t fill_lo =
+      (r0 & 0xFFFFFFFF00000000ULL) | (bit_reverse64(h1) & 0xFFFFFFFFULL);
+  const Ipv6 h = host_mask();
+  return Ipv6::from_words(base_.hi() | (r0 & h.hi()),
+                          base_.lo() | (fill_lo & h.lo()));
 }
 
 std::string Prefix::str() const {

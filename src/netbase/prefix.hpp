@@ -44,19 +44,15 @@ class Prefix {
 
   /// Last address of the prefix.
   [[nodiscard]] constexpr Ipv6 last() const {
-    Ipv6 a = base_;
-    for (int i = len_; i < 128; ++i) a.set_bit(i, true);
-    return a;
+    const Ipv6 h = host_mask();
+    return Ipv6::from_words(base_.hi() | h.hi(), base_.lo() | h.lo());
   }
 
   /// The i-th direct sub-prefix with `extra` additional bits
   /// (i in [0, 2^extra)). Used by the multi-level alias detection which
   /// splits prefixes into 16 more-specifics (extra = 4).
   [[nodiscard]] constexpr Prefix subprefix(unsigned i, int extra) const {
-    Ipv6 a = base_;
-    for (int b = 0; b < extra; ++b)
-      a.set_bit(len_ + b, (i >> (extra - 1 - b)) & 1);
-    return make(a, len_ + extra);
+    return make(base_.with_field(len_, extra, i), len_ + extra);
   }
 
   /// A deterministic pseudo-random address inside the prefix, derived from
@@ -83,6 +79,13 @@ class Prefix {
   }
 
  private:
+  /// The bits below `len` set, the network bits clear.
+  [[nodiscard]] constexpr Ipv6 host_mask() const {
+    const Ipv6 net =
+        mask(Ipv6::from_words(~std::uint64_t{0}, ~std::uint64_t{0}), len_);
+    return Ipv6::from_words(~net.hi(), ~net.lo());
+  }
+
   Ipv6 base_{};
   std::uint8_t len_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "tga/seedless.hpp"
 
+#include <algorithm>
+
 #include "core/parallel.hpp"
 #include "netbase/frozen_lpm.hpp"
 #include "obs/metrics.hpp"
@@ -48,8 +50,8 @@ std::vector<Ipv6> Seedless::generate(const Rib& rib,
       Ipv6 net = p.base();
       if (p.len() < 64 && s > 0) {
         // Low subnet counters in the least significant /64-selecting bits.
-        for (int b = 0; b < 8 && 63 - b >= p.len(); ++b)
-          net.set_bit(63 - b, (s >> b) & 1);
+        const int top = std::max(p.len(), 56);
+        net = net.with_field(top, 64 - top, static_cast<std::uint64_t>(s));
       }
       for (int iid = 1; iid <= cfg_.low_iids && out.size() < budget; ++iid)
         out.push_back(Ipv6::from_words(net.hi(), static_cast<std::uint64_t>(iid)));

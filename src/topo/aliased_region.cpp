@@ -23,9 +23,11 @@ Prefix AliasedRegion::sparse_unit(std::size_t prefix_idx,
   const Prefix& p = cfg_.prefixes[prefix_idx];
   const std::uint64_t h =
       hash_combine(hash_combine(cfg_.seed, prefix_idx), j);
-  Ipv6 base = p.base();
-  for (int b = p.len(); b < 64; ++b) base.set_bit(b, (h >> (b & 63)) & 1);
-  return Prefix::make(base, 64);
+  // Bit b of the /64 (MSB-first) is bit b of h: the bit-reversed hash.
+  const std::uint64_t host_hi =
+      p.len() >= 64 ? 0 : ~std::uint64_t{0} >> p.len();
+  return Prefix::make(
+      Ipv6::from_words(p.base().hi() | (bit_reverse64(h) & host_hi), 0), 64);
 }
 
 bool AliasedRegion::sparse_member(std::size_t pi, const Ipv6& a,

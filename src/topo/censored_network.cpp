@@ -1,12 +1,15 @@
 #include "topo/censored_network.hpp"
 
+#include <algorithm>
+
 namespace sixdust {
 
 CensoredNetwork::CensoredNetwork(Config cfg) : cfg_(cfg) {
   prefixes_.push_back(cfg_.prefix);
-  real_host_los_.reserve(cfg_.real_hosts * 2);
+  real_hosts_sorted_.reserve(cfg_.real_hosts);
   for (std::uint32_t i = 0; i < cfg_.real_hosts; ++i)
-    real_host_los_.insert(real_host_address(i).lo());
+    real_hosts_sorted_.push_back(real_host_address(i));
+  std::sort(real_hosts_sorted_.begin(), real_hosts_sorted_.end());
 }
 
 Ipv6 CensoredNetwork::real_host_address(std::uint32_t i) const {
@@ -15,13 +18,9 @@ Ipv6 CensoredNetwork::real_host_address(std::uint32_t i) const {
 
 std::optional<HostBehavior> CensoredNetwork::host(const Ipv6& a,
                                                   ScanDate d) const {
-  if (!cfg_.prefix.contains(a)) return std::nullopt;
-  if (!real_host_los_.contains(a.lo())) return std::nullopt;
-  // lo-word collision guard: confirm it is really one of ours.
-  bool found = false;
-  for (std::uint32_t i = 0; i < cfg_.real_hosts && !found; ++i)
-    found = real_host_address(i) == a;
-  if (!found) return std::nullopt;
+  if (!std::binary_search(real_hosts_sorted_.begin(),
+                          real_hosts_sorted_.end(), a))
+    return std::nullopt;
   // Ordinary availability churn.
   if (unit_from_hash(hash_combine(hash_of(a, cfg_.seed),
                                   0xC4 + static_cast<std::uint64_t>(d.index))) >= 0.93)

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <unordered_set>
+#include <vector>
 
 #include "netbase/hash.hpp"
 #include "topo/deployment.hpp"
@@ -55,7 +55,7 @@ class CensoredNetwork final : public Deployment {
 
   Config cfg_;
   std::vector<Prefix> prefixes_;
-  std::unordered_set<std::uint64_t> real_host_los_;  // lo words, fast check
+  std::vector<Ipv6> real_hosts_sorted_;  // real_host_address(i), sorted
 };
 
 }  // namespace sixdust

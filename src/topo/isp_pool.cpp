@@ -26,9 +26,8 @@ std::uint32_t IspPool::mac_index(std::uint32_t subnet) const {
 }
 
 Ipv6 IspPool::cpe_address(std::uint32_t s) const {
-  Ipv6 net = cfg_.prefix.base();
-  for (int b = 0; b < cfg_.subnet_bits; ++b)
-    net.set_bit(cfg_.prefix.len() + b, (s >> (cfg_.subnet_bits - 1 - b)) & 1);
+  const Ipv6 net =
+      cfg_.prefix.base().with_field(cfg_.prefix.len(), cfg_.subnet_bits, s);
   const std::uint32_t mi = mac_index(s);
   Mac mac;
   mac.bytes[0] = static_cast<std::uint8_t>(cfg_.oui >> 16);
@@ -42,12 +41,15 @@ Ipv6 IspPool::cpe_address(std::uint32_t s) const {
 
 std::optional<std::uint32_t> IspPool::subnet_of(const Ipv6& a) const {
   if (!cfg_.prefix.contains(a)) return std::nullopt;
-  std::uint32_t s = 0;
-  for (int b = 0; b < cfg_.subnet_bits; ++b)
-    s = s << 1 | static_cast<std::uint32_t>(a.bit(cfg_.prefix.len() + b));
   // Bits between the subnet field and the IID must be zero.
-  for (int b = cfg_.prefix.len() + cfg_.subnet_bits; b < 64; ++b)
-    if (a.bit(b)) return std::nullopt;
+  const int gap = cfg_.prefix.len() + cfg_.subnet_bits;
+  if (gap < 64 && a.field(gap, 64 - gap) != 0) return std::nullopt;
+  // Every CPE IID is EUI-64 with the pool's OUI: check that before the MAC
+  // draw (cpe_address) is worth computing.
+  const auto mac = eui64_mac(a);
+  if (!mac || mac->oui() != (cfg_.oui & 0xFFFFFF)) return std::nullopt;
+  const auto s = static_cast<std::uint32_t>(
+      a.field(cfg_.prefix.len(), cfg_.subnet_bits));
   // The address must be exactly this subnet's CPE (EUI-64 from its MAC).
   if (cpe_address(s) != a) return std::nullopt;
   return s;

@@ -30,10 +30,8 @@ std::uint32_t ServerFarm::subnet_count(ScanDate d) const {
 }
 
 Ipv6 ServerFarm::host_address(std::uint32_t s, std::uint32_t i) const {
-  Ipv6 a = cfg_.prefix.base();
-  const int sub_top = cfg_.prefix.len();
-  for (int b = 0; b < cfg_.subnet_bits; ++b)
-    a.set_bit(sub_top + b, (s >> (cfg_.subnet_bits - 1 - b)) & 1);
+  const Ipv6 a =
+      cfg_.prefix.base().with_field(cfg_.prefix.len(), cfg_.subnet_bits, s);
   return Ipv6::from_words(a.hi(), 1 + static_cast<std::uint64_t>(i) * cfg_.iid_stride);
 }
 
@@ -41,12 +39,11 @@ std::optional<ServerFarm::Loc> ServerFarm::locate(const Ipv6& a,
                                                   ScanDate d) const {
   if (!cfg_.prefix.contains(a)) return std::nullopt;
   // Subnet field must fit above the IID and the bits in between are zero.
-  std::uint32_t s = 0;
-  for (int b = 0; b < cfg_.subnet_bits; ++b)
-    s = s << 1 | static_cast<std::uint32_t>(a.bit(cfg_.prefix.len() + b));
+  const auto s = static_cast<std::uint32_t>(
+      a.field(cfg_.prefix.len(), cfg_.subnet_bits));
   if (s >= subnet_count(d)) return std::nullopt;
-  for (int b = cfg_.prefix.len() + cfg_.subnet_bits; b < 64; ++b)
-    if (a.bit(b)) return std::nullopt;
+  const int gap = cfg_.prefix.len() + cfg_.subnet_bits;
+  if (gap < 64 && a.field(gap, 64 - gap) != 0) return std::nullopt;
   const std::uint64_t iid = a.lo();
   if (iid == 0 || (iid - 1) % cfg_.iid_stride != 0) return std::nullopt;
   const std::uint64_t i = (iid - 1) / cfg_.iid_stride;

@@ -5,6 +5,9 @@ namespace {
 
 constexpr std::uint16_t kDefaultPmtu = 1500;
 
+/// Our campus gateway, 2001:db8:affe::1: the first hop of every path.
+constexpr Ipv6 kCampusGateway = Ipv6::from_words(0x20010db8affe0000ULL, 1);
+
 /// Deterministic AAAA answer a "recursive resolver" in the simulation
 /// produces for an arbitrary (non-controlled) name.
 Ipv6 generic_answer(std::string_view qname) {
@@ -196,7 +199,7 @@ bool World::probe(const Ipv6& target, Proto p, ScanDate d) const {
 std::vector<World::Hop> World::path_to(const Ipv6& target, ScanDate d) const {
   std::vector<Hop> hops;
   // Hop 1: our campus gateway.
-  hops.push_back(Hop{ip("2001:db8:affe::1"), true, kAsnNone});
+  hops.push_back(Hop{kCampusGateway, true, kAsnNone});
 
   // Transit: one or two backbone routers, chosen per target region so that
   // paths are stable but diverse.
@@ -224,7 +227,8 @@ std::vector<World::Hop> World::path_to(const Ipv6& target, ScanDate d) const {
   }
 
   // The target itself.
-  auto h = truth_host(target, d);
+  const auto h =
+      dep != nullptr ? dep->host(target, d) : std::optional<HostBehavior>{};
   const bool reachable = h && mask_has(h->responsive, Proto::Icmp);
   hops.push_back(Hop{target, reachable,
                      rib_.origin(target).value_or(kAsnNone)});

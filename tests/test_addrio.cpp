@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ios>
 #include <sstream>
+#include <streambuf>
 
 #include "analysis/stats.hpp"
 #include "netbase/addrio.hpp"
@@ -46,6 +48,30 @@ TEST(AddrIo, PrefixListRoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, prefixes);
   EXPECT_NE(out.str().find("# aliased"), std::string::npos);
+}
+
+TEST(AddrIo, DirectoryIsAnError) {
+  // An ifstream opens a directory; reading it must not give an empty list.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_FALSE(read_address_file(dir).has_value());
+  EXPECT_FALSE(read_prefix_file(dir).has_value());
+
+  // A read error mid-stream is an error too, not the end of the list.
+  struct FailingBuf : std::streambuf {
+    std::string data = "2001:db8::1\n";
+    bool served = false;
+    int_type underflow() override {
+      if (served) throw std::ios_base::failure("read error");
+      served = true;
+      setg(data.data(), data.data(), data.data() + data.size());
+      return traits_type::to_int_type(*gptr());
+    }
+  };
+  FailingBuf buf;
+  std::istream in(&buf);
+  std::size_t line = 0;
+  EXPECT_FALSE(read_address_list(in, &line).has_value());
+  EXPECT_EQ(line, 2u);
 }
 
 TEST(AddrIo, FileRoundTrip) {

@@ -1,7 +1,8 @@
 // Tests for the CLI argument parser shared by the sixdust-* tools, and
 // spawn-level checks of the tools' fail-fast paths (unknown options, bad
-// --listen, unwritable output files, unreachable server) and of one
-// scan run with and without a blocklist.
+// --listen, unwritable output files, unreachable server) and of scan runs
+// with and without a blocklist, with unreadable lists, and on generated
+// targets.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "cli.hpp"
@@ -93,12 +95,14 @@ TEST(Cli, OptionMustMatchAWholeUsageToken) {
 #endif
 
 /// Run a tool with `args`, returning its exit code (-1 when it did not
-/// exit normally). Output is discarded — these tests only check the code.
-int run_tool(const std::string& name, const std::string& args) {
+/// exit normally). Standard output goes to `stdout_path` (discarded by
+/// default); standard error is discarded.
+int run_tool(const std::string& name, const std::string& args,
+             const std::string& stdout_path = "/dev/null") {
   const std::string bin = std::string(SIXDUST_BIN_DIR) + "/" + name;
   if (::access(bin.c_str(), X_OK) != 0) return -2;  // binary not built
-  const int status =
-      std::system((bin + " " + args + " >/dev/null 2>&1").c_str());
+  const int status = std::system(
+      (bin + " " + args + " >" + stdout_path + " 2>/dev/null").c_str());
   if (status == -1 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
 }
@@ -210,6 +214,37 @@ TEST(CliScanTool, ScansWithAndWithoutBlocklist) {
   }
   EXPECT_EQ(run_tool("sixdust-scan", "--proto icmp --blocklist " + path), 0);
   std::remove(path.c_str());
+}
+
+TEST(CliScanTool, DirectoryTargetsOrBlocklistFail) {
+  const std::string dir = ::testing::TempDir();
+  const int targets = run_tool("sixdust-scan", "--proto icmp --targets " + dir);
+  if (targets == -2) GTEST_SKIP() << "sixdust-scan not built";
+  EXPECT_GT(targets, 0);
+  EXPECT_GT(run_tool("sixdust-scan", "--proto icmp --blocklist " + dir), 0);
+}
+
+/// The number after `key` in `text`, or -1 when `key` does not occur.
+long count_after(const std::string& text, const std::string& key) {
+  const auto at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::strtol(text.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(CliScanTool, GeneratedTargetsHoldNoDuplicates) {
+  // With one protocol, its responsive count and the any-protocol count
+  // agree only when no target address is scanned twice.
+  const std::string out = ::testing::TempDir() + "/sixdust_scan_stdout.txt";
+  const int code = run_tool("sixdust-scan", "--proto icmp", out);
+  if (code == -2) GTEST_SKIP() << "sixdust-scan not built";
+  ASSERT_EQ(code, 0);
+  std::ifstream f(out);
+  const std::string text((std::istreambuf_iterator<char>(f)),
+                         std::istreambuf_iterator<char>());
+  std::remove(out.c_str());
+  const long icmp = count_after(text, "responsive=");
+  ASSERT_GT(icmp, 0) << text;
+  EXPECT_EQ(count_after(text, "responsive to >=1 protocol: "), icmp) << text;
 }
 
 }  // namespace

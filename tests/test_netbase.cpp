@@ -160,6 +160,130 @@ TEST(Prefix, SizeAccounting) {
   EXPECT_EQ(u128_log2(pfx("2602:f000::/28").size()), 100);
 }
 
+// ------------------------------------------------------- address kernels
+// The word-level kernels (bit_reverse64, Ipv6::field/with_field and the
+// Prefix functions built on them) against the per-bit loops they replaced,
+// kept here as references.
+
+std::uint64_t ref_bit_reverse64(std::uint64_t x) {
+  std::uint64_t r = 0;
+  for (int b = 0; b < 64; ++b) r |= ((x >> b) & 1) << (63 - b);
+  return r;
+}
+
+std::uint64_t ref_field(const Ipv6& a, int pos, int width) {
+  std::uint64_t v = 0;
+  for (int b = 0; b < width; ++b)
+    v = v << 1 | static_cast<std::uint64_t>(a.bit(pos + b));
+  return v;
+}
+
+Ipv6 ref_with_field(Ipv6 a, int pos, int width, std::uint64_t v) {
+  for (int b = 0; b < width; ++b)
+    a.set_bit(pos + b, (v >> (width - 1 - b)) & 1);
+  return a;
+}
+
+Ipv6 ref_random_address(const Prefix& p, std::uint64_t salt) {
+  const std::uint64_t h0 = hash_combine(hash_of(p.base(), salt), p.len());
+  const std::uint64_t h1 = mix64(h0);
+  Ipv6 a = p.base();
+  for (int b = p.len(); b < 128; ++b) {
+    const std::uint64_t h = b < 96 ? h0 : h1;
+    a.set_bit(b, (h >> (b & 63)) & 1);
+  }
+  return a;
+}
+
+Ipv6 ref_last(const Prefix& p) {
+  Ipv6 a = p.base();
+  for (int i = p.len(); i < 128; ++i) a.set_bit(i, true);
+  return a;
+}
+
+Prefix ref_subprefix(const Prefix& p, unsigned i, int extra) {
+  Ipv6 a = p.base();
+  for (int b = 0; b < extra; ++b)
+    a.set_bit(p.len() + b, (i >> (extra - 1 - b)) & 1);
+  return Prefix::make(a, p.len() + extra);
+}
+
+/// A pseudo-random full address; the prefixes under test are cut from it.
+Ipv6 kernel_address(std::uint64_t k) {
+  return Ipv6::from_words(mix64(k ^ 0xadd2), mix64(k ^ 0x5eed));
+}
+
+TEST(AddressKernels, BitReverseMatchesPerBitLoop) {
+  EXPECT_EQ(bit_reverse64(0), 0u);
+  EXPECT_EQ(bit_reverse64(1), 0x8000000000000000ULL);
+  EXPECT_EQ(bit_reverse64(0x8000000000000000ULL), 1u);
+  static_assert(bit_reverse64(0x00000000000000F1ULL) == 0x8F00000000000000ULL);
+  for (std::uint64_t k = 0; k < 4096; ++k) {
+    const std::uint64_t x = mix64(k);
+    ASSERT_EQ(bit_reverse64(x), ref_bit_reverse64(x)) << k;
+    ASSERT_EQ(bit_reverse64(bit_reverse64(x)), x);
+  }
+  for (int b = 0; b < 64; ++b)
+    EXPECT_EQ(bit_reverse64(std::uint64_t{1} << b),
+              std::uint64_t{1} << (63 - b));
+}
+
+TEST(AddressKernels, FieldAndWithFieldMatchPerBitLoops) {
+  // Every (pos, width) with width <= 64 that fits: fields ending before,
+  // at and after bit 64, and fields that cross it.
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const Ipv6 a = kernel_address(k);
+    const std::uint64_t v = mix64(k + 100);
+    for (int width = 0; width <= 64; ++width) {
+      for (int pos = 0; pos + width <= 128; ++pos) {
+        ASSERT_EQ(a.field(pos, width), ref_field(a, pos, width))
+            << "pos " << pos << " width " << width;
+        const Ipv6 w = a.with_field(pos, width, v);
+        ASSERT_EQ(w, ref_with_field(a, pos, width, v))
+            << "pos " << pos << " width " << width;
+        const std::uint64_t low =
+            width == 64 ? v : v & ((std::uint64_t{1} << width) - 1);
+        ASSERT_EQ(w.field(pos, width), low);
+      }
+    }
+  }
+}
+
+TEST(AddressKernels, RandomAddressMatchesPerBitLoopAtEveryLength) {
+  for (int len = 0; len <= 128; ++len) {
+    for (std::uint64_t k = 0; k < 2; ++k) {
+      const Prefix p = Prefix::make(kernel_address(k * 131 + len), len);
+      for (std::uint64_t salt = 0; salt < 64; ++salt) {
+        const std::uint64_t s = mix64(salt) ^ salt;
+        const Ipv6 a = p.random_address(s);
+        ASSERT_EQ(a, ref_random_address(p, s)) << p.str() << " salt " << s;
+        ASSERT_TRUE(p.contains(a));
+      }
+    }
+  }
+}
+
+TEST(AddressKernels, LastMatchesPerBitLoopAtEveryLength) {
+  for (int len = 0; len <= 128; ++len) {
+    const Prefix p = Prefix::make(kernel_address(len), len);
+    EXPECT_EQ(p.last(), ref_last(p)) << p.str();
+  }
+  EXPECT_EQ(pfx("::/0").last(),
+            Ipv6::from_words(~std::uint64_t{0}, ~std::uint64_t{0}));
+  EXPECT_EQ(pfx("2001:db8::1/128").last(), ip("2001:db8::1"));
+}
+
+TEST(AddressKernels, SubprefixMatchesPerBitLoop) {
+  for (int extra = 1; extra <= 8; ++extra) {
+    for (int len = 0; len + extra <= 128; ++len) {
+      const Prefix p = Prefix::make(kernel_address(len), len);
+      for (unsigned i = 0; i < (1u << extra); ++i)
+        ASSERT_EQ(p.subprefix(i, extra), ref_subprefix(p, i, extra))
+            << p.str() << " i " << i << " extra " << extra;
+    }
+  }
+}
+
 TEST(FrozenLpm, ExactAndLongestMatch) {
   const FrozenLpm<int> lpm{std::vector<std::pair<Prefix, int>>{
       {pfx("2001:db8::/32"), 1}, {pfx("2001:db8:1::/48"), 2},

@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "netbase/hash.hpp"
 #include "topo/aliased_region.hpp"
 #include "topo/censored_network.hpp"
 #include "topo/isp_pool.hpp"
@@ -383,6 +384,188 @@ TEST(CensoredNetwork, BorderRoutersRotatePerScanAndAreBounded) {
   EXPECT_LE(scan0.size(), 8u);  // bounded by physical routers
   EXPECT_GE(scan0.size(), 6u);
   for (const auto& r : scan0) EXPECT_FALSE(scan1.contains(r)) << "no rotation";
+}
+
+// ----------------------------------------------------------- AddressKernels
+// The deployment codecs built on Ipv6::field/with_field and bit_reverse64,
+// checked against the per-bit loops they replaced (kept here as
+// references) on subnet fields that end before bit 64, at it and across it.
+
+Ipv6 ref_set_field(Ipv6 a, int pos, int width, std::uint32_t v) {
+  for (int b = 0; b < width; ++b)
+    a.set_bit(pos + b, (v >> (width - 1 - b)) & 1);
+  return a;
+}
+
+std::uint32_t ref_get_field(const Ipv6& a, int pos, int width) {
+  std::uint32_t v = 0;
+  for (int b = 0; b < width; ++b)
+    v = v << 1 | static_cast<std::uint32_t>(a.bit(pos + b));
+  return v;
+}
+
+bool ref_gap_clear(const Ipv6& a, int from) {
+  for (int b = from; b < 64; ++b)
+    if (a.bit(b)) return false;
+  return true;
+}
+
+/// Probe addresses around `a`: `a` itself, every one-bit flip of it, and
+/// the same lo word under a different hi word.
+std::vector<Ipv6> near_misses(const Ipv6& a) {
+  std::vector<Ipv6> out{a};
+  for (int b = 0; b < 128; ++b) {
+    Ipv6 f = a;
+    f.set_bit(b, !a.bit(b));
+    out.push_back(f);
+  }
+  out.push_back(Ipv6::from_words(a.hi() ^ 0x100, a.lo()));
+  return out;
+}
+
+struct FieldLayout {
+  const char* prefix;
+  int subnet_bits;
+};
+
+// Subnet field [32, 52), [40, 64) and [48, 72).
+constexpr FieldLayout kLayouts[] = {
+    {"2800:a000::/32", 20}, {"2800:a000:1200::/40", 24},
+    {"2800:a000:1234::/48", 24}};
+
+TEST(AddressKernels, IspPoolCodecMatchesPerBitLoops) {
+  for (const auto& layout : kLayouts) {
+    IspPool::Config cfg = small_pool();
+    cfg.prefix = pfx(layout.prefix);
+    cfg.subnet_bits = layout.subnet_bits;
+    cfg.active_per_scan = 400;
+    IspPool pool(cfg);
+    const int len = cfg.prefix.len();
+    const auto ref_subnet_of =
+        [&](const Ipv6& a) -> std::optional<std::uint32_t> {
+      if (!cfg.prefix.contains(a)) return std::nullopt;
+      const std::uint32_t s = ref_get_field(a, len, cfg.subnet_bits);
+      if (!ref_gap_clear(a, len + cfg.subnet_bits)) return std::nullopt;
+      if (pool.cpe_address(s) != a) return std::nullopt;
+      return s;
+    };
+    std::vector<Ipv6> probes;
+    for (std::uint32_t k = 0; k < 200; ++k) {
+      const auto s = static_cast<std::uint32_t>(
+          mix64(k) & ((std::uint32_t{1} << cfg.subnet_bits) - 1));
+      const Ipv6 cpe = pool.cpe_address(s);
+      // The subnet field (in the hi word) comes from the per-bit loop; the
+      // IID is EUI-64 with the pool's OUI.
+      ASSERT_EQ(cpe.hi(), ref_set_field(cfg.prefix.base(), len,
+                                        cfg.subnet_bits, s).hi());
+      ASSERT_EQ(eui64_mac(cpe)->oui(), cfg.oui);
+      for (const Ipv6& a : near_misses(cpe)) probes.push_back(a);
+    }
+    // With discovered_per_scan below active_per_scan, every enumerated
+    // address is an active CPE.
+    std::vector<KnownAddress> known;
+    pool.enumerate_known(ScanDate{0}, known);
+    for (const auto& k : known) probes.push_back(k.addr);
+    for (const Ipv6& a : probes) {
+      const auto h = pool.host(a, ScanDate{0});
+      if (!h) continue;
+      const auto s = ref_subnet_of(a);
+      ASSERT_TRUE(s.has_value()) << a.str();
+      EXPECT_EQ(h->key, hash_combine(cfg.seed, *s)) << a.str();
+    }
+    // A field that crosses bit 64 loses its low bits to the EUI-64 IID, so
+    // only the other layouts decode their own CPE addresses.
+    if (len + cfg.subnet_bits <= 64) {
+      for (const auto& k : known)
+        EXPECT_TRUE(pool.host(k.addr, ScanDate{0}).has_value()) << k.addr.str();
+    }
+  }
+}
+
+TEST(AddressKernels, ServerFarmCodecMatchesPerBitLoops) {
+  for (const auto& layout : kLayouts) {
+    ServerFarm::Config cfg = small_farm();
+    cfg.prefix = pfx(layout.prefix);
+    cfg.subnet_bits = layout.subnet_bits;
+    cfg.subnets = 40;
+    ServerFarm farm(cfg);
+    const int len = cfg.prefix.len();
+    std::size_t live = 0;
+    for (std::uint32_t s = 0; s < 48; ++s) {
+      for (std::uint32_t i = 0; i < cfg.hosts_per_subnet; ++i) {
+        const Ipv6 want = Ipv6::from_words(
+            ref_set_field(cfg.prefix.base(), len, cfg.subnet_bits, s).hi(),
+            1 + static_cast<std::uint64_t>(i) * cfg.iid_stride);
+        ASSERT_EQ(farm.host_address(s, i), want);
+        for (const Ipv6& a : near_misses(want)) {
+          const auto h = farm.host(a, ScanDate{0});
+          // Reference decode of the old locate().
+          const std::uint32_t rs = ref_get_field(a, len, cfg.subnet_bits);
+          const bool ok = cfg.prefix.contains(a) && rs < cfg.subnets &&
+                          ref_gap_clear(a, len + cfg.subnet_bits) &&
+                          a.lo() >= 1 && a.lo() - 1 < cfg.hosts_per_subnet;
+          ASSERT_EQ(h.has_value(), ok) << a.str();
+          if (!h) continue;
+          const std::uint64_t host_id =
+              hash_combine(hash_combine(cfg.seed, rs), a.lo() - 1);
+          EXPECT_EQ(h->key, hash_combine(host_id, 0x605717)) << a.str();
+          ++live;
+        }
+      }
+    }
+    EXPECT_GT(live, 40u * cfg.hosts_per_subnet) << layout.prefix;
+  }
+}
+
+TEST(AddressKernels, SparseUnitsMatchPerBitLoop) {
+  AliasedRegion::Config cfg;
+  cfg.asn = 65003;
+  cfg.prefixes = {pfx("2600:1f00::/24"), pfx("2600:1f80::/40"),
+                  pfx("2600:1f90::/63"), pfx("2600:1fa0::/64")};
+  cfg.sparse64_count = 16;
+  cfg.seed = 17;
+  AliasedRegion region(cfg);
+  std::vector<Prefix> want;
+  for (std::size_t pi = 0; pi < cfg.prefixes.size(); ++pi) {
+    for (std::uint32_t j = 0; j < cfg.sparse64_count; ++j) {
+      const Prefix& p = cfg.prefixes[pi];
+      const std::uint64_t h = hash_combine(hash_combine(cfg.seed, pi), j);
+      Ipv6 base = p.base();
+      for (int b = p.len(); b < 64; ++b) base.set_bit(b, (h >> (b & 63)) & 1);
+      want.push_back(Prefix::make(base, 64));
+    }
+  }
+  EXPECT_EQ(region.truth_aliased_units(ScanDate{0}), want);
+}
+
+TEST(AddressKernels, CensoredNetworkAnswersOnlyItsRealHosts) {
+  CensoredNetwork::Config cfg;
+  cfg.asn = 4134;
+  cfg.prefix = pfx("240e::/24");
+  cfg.real_hosts = 64;
+  cfg.seed = 23;
+  CensoredNetwork net(cfg);
+  std::vector<KnownAddress> known;
+  net.enumerate_known(ScanDate{0}, known);
+  ASSERT_EQ(known.size(), 64u);
+  std::set<Ipv6> real;
+  for (const auto& k : known) real.insert(k.addr);
+  std::size_t up = 0;
+  for (const auto& k : known) {
+    for (const Ipv6& a : near_misses(k.addr)) {
+      for (int d = 0; d < 3; ++d) {
+        const auto h = net.host(a, ScanDate{d});
+        if (!real.contains(a)) {
+          ASSERT_FALSE(h.has_value()) << a.str();
+          continue;
+        }
+        if (!h) continue;
+        EXPECT_EQ(h->key, hash_of(a, cfg.seed));
+        ++up;
+      }
+    }
+  }
+  EXPECT_GT(up, 64u * 3 * 8 / 10);  // availability churn allows misses
 }
 
 // ----------------------------------------------------------------- Gfw/World

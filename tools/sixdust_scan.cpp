@@ -91,10 +91,14 @@ int main(int argc, char** argv) {
                "' (line " + std::to_string(bad_line) + ")");
     targets = std::move(*loaded);
   } else {
+    // enumerate_known can list an address more than once; scan each once,
+    // in first-seen order.
     std::vector<KnownAddress> known;
     world->enumerate_known(date, known);
+    std::unordered_set<Ipv6, Ipv6Hasher> seen;
     targets.reserve(known.size());
-    for (const auto& k : known) targets.push_back(k.addr);
+    for (const auto& k : known)
+      if (seen.insert(k.addr).second) targets.push_back(k.addr);
   }
   std::printf("targets: %zu, date %s\n", targets.size(), date.str().c_str());
 
