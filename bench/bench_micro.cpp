@@ -100,6 +100,36 @@ void BM_IspPoolHost(benchmark::State& state) {
 }
 BENCHMARK(BM_IspPoolHost);
 
+void BM_IspPoolHostLateEpoch(benchmark::State& state) {
+  // Probes on the 46th monthly epoch of a reactivating pool: a subnet
+  // that is not active now is checked against every earlier epoch, which
+  // the activity column answers in one binary search.
+  IspPool::Config cfg;
+  cfg.asn = 65002;
+  cfg.prefix = pfx("2800:a000::/32");
+  cfg.subnet_bits = 24;
+  cfg.active_per_scan = 600;
+  cfg.discovered_per_scan = 6000;
+  cfg.rotation_scans = 1;
+  cfg.reactivation = 0.2;
+  const IspPool pool(cfg);
+  const ScanDate d{45};
+  std::vector<Ipv6> probes;
+  for (int e = 0; e <= d.index; e += 3) {
+    std::vector<KnownAddress> known;
+    pool.enumerate_known(ScanDate{e}, known);
+    for (std::size_t i = 0; i < known.size(); i += 7)
+      probes.push_back(known[i].addr);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto h = pool.host(probes[i], d);
+    benchmark::DoNotOptimize(h);
+    if (++i == probes.size()) i = 0;
+  }
+}
+BENCHMARK(BM_IspPoolHostLateEpoch);
+
 // --- LPM engine: realistic prefix distributions ---------------------------
 //
 // A RIB-like announcement mix (/32../48 allocations with covering /32s and
@@ -397,6 +427,31 @@ void BM_ParallelScan(benchmark::State& state) {
                           static_cast<std::int64_t>(targets.size()));
 }
 BENCHMARK(BM_ParallelScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+void BM_Zmap6AllProtos(benchmark::State& state) {
+  // The service's scan phase: all five protocols over one target list,
+  // each target resolved once; Arg is the pool size.
+  static auto world = build_test_world(8);
+  static const std::vector<Ipv6> targets = [] {
+    std::vector<KnownAddress> known;
+    world->enumerate_known(ScanDate{0}, known);
+    std::vector<Ipv6> t;
+    for (const auto& k : known) t.push_back(k.addr);
+    for (std::uint64_t i = 0; t.size() < (1u << 15); ++i)
+      t.push_back(pfx("2600:3c00::/32").random_address(0xBE7C4 + i));
+    return t;
+  }();
+  Zmap6 zmap(Zmap6::Config{.seed = 1, .loss = 0.01, .retries = 0});
+  zmap.set_pool(ThreadPool::create(static_cast<unsigned>(state.range(0))));
+  for (auto _ : state) {
+    auto r = zmap.scan(*world, targets, kAllProtoMask, ScanDate{0});
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(targets.size()) *
+                          kProtoCount);
+}
+BENCHMARK(BM_Zmap6AllProtos)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_ParallelScanMetrics(benchmark::State& state) {
   // BM_ParallelScan with telemetry attached: the overhead is a handful of

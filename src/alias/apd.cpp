@@ -76,18 +76,20 @@ std::uint16_t AliasDetector::probe_mask(const World& world, const Prefix& p,
     const Prefix sub = p.subprefix(i, 4);
     const Ipv6 target = sub.random_address(
         hash_combine(cfg_.seed, static_cast<std::uint64_t>(date.index)));
+    // One resolution per target; the loss draws below decide which of the
+    // probes that the answer mask says would succeed actually get through.
+    const ProtoMask answers = world.answers(target, date);
     bool responded = false;
     // ICMP probe, retransmitted once (ZMap -P2 style).
     for (int attempt = 0; attempt < 2 && !responded; ++attempt) {
       ++*probes;
-      if (!lost(target, date, attempt * 2) &&
-          world.icmp_echo(target, IcmpEchoRequest{}, date))
+      if (!lost(target, date, attempt * 2) && mask_has(answers, Proto::Icmp))
         responded = true;
     }
     // TCP/80 probe (merged with ICMP).
     if (!responded) {
       ++*probes;
-      if (!lost(target, date, 1) && world.tcp_syn(target, 80, date))
+      if (!lost(target, date, 1) && mask_has(answers, Proto::Tcp80))
         responded = true;
     }
     if (responded) mask |= static_cast<std::uint16_t>(1u << i);
@@ -162,9 +164,19 @@ std::vector<std::uint16_t> AliasDetector::probe_round(
 AliasDetector::Detection AliasDetector::detect(const World& world,
                                                std::span<const Ipv6> input,
                                                ScanDate date) {
+  // Volatile: wall-clock profiling of the round's two costly parts; the
+  // stable record of the round is alias.apd_round below.
+  Span cand_span = trace_span(cfg_.metrics, "alias.candidates", SpanCat::kAlias,
+                              Stability::kVolatile);
   auto cands = candidates(world.rib(), input, cfg_);
+  cand_span.attr("candidates", static_cast<std::uint64_t>(cands.size()));
+  cand_span.end();
+  Span probe_span = trace_span(cfg_.metrics, "alias.probe_round",
+                               SpanCat::kAlias, Stability::kVolatile);
   std::uint64_t probes = 0;
   auto masks = probe_round(world, cands, date, &probes);
+  probe_span.attr("probes", probes);
+  probe_span.end();
   Span span = trace_span(cfg_.metrics, "alias.apd_round", SpanCat::kAlias);
 
   // Merge with up to `history` previous rounds: a sub-prefix counts as

@@ -132,8 +132,9 @@ NewSourceEvaluator::SourceReport NewSourceEvaluator::evaluate(
   std::vector<Ipv6> round_targets = std::move(candidates);
   for (int round = 0; round < cfg_.eval_rounds; ++round) {
     const ScanDate date{cfg_.first_eval_scan + round};
-    for (Proto p : kAllProtos) {
-      ScanResult result = zmap.scan(*world_, round_targets, p, date);
+    for (const ScanResult& result :
+         zmap.scan(*world_, round_targets, kAllProtoMask, date)) {
+      const Proto p = result.proto;
       if (p == Proto::Udp53) {
         for (const auto& rec : gfw.filter_scan(result))
           responsive[rec.target] |= proto_bit(p);

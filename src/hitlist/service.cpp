@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "core/parallel.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 #include "scanner/rate_limit.hpp"
@@ -163,15 +162,13 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   // All probe stages share one rate-limited sender; APD probes ran above.
   double duration_seconds = apd_seconds;
 
-  // All five protocol scans are independent reads of the world, so they
-  // fan out over the pool; the pool may further split each scan into
-  // shard slices. Results are then consumed strictly in kAllProtos order
-  // so that GFW state mutation and float duration sums stay deterministic.
+  // One multi-protocol scan resolves each target once and fans the five
+  // protocol walks out over the pool. Results are then consumed strictly
+  // in kAllProtos order so that GFW state mutation and float duration sums
+  // stay deterministic.
   PhaseTimer scan_timer(metrics_, "service.phase.scan");
-  std::vector<ScanResult> per_proto = ordered_map<ScanResult>(
-      pool_.get(), kAllProtos.size(), [&](std::size_t i) {
-        return zmap_.scan(world, targets, kAllProtos[i], date);
-      });
+  std::vector<ScanResult> per_proto =
+      zmap_.scan(world, targets, kAllProtoMask, date);
 
   for (std::size_t pi = 0; pi < kAllProtos.size(); ++pi) {
     const Proto p = kAllProtos[pi];

@@ -283,6 +283,24 @@ void run_conc_memory_order(FileCtx& ctx) {
   }
 }
 
+// ---- world purity ----------------------------------------------------
+
+bool scope_topo(std::string_view path) {
+  return path_starts_with(path, "src/topo/");
+}
+
+void run_topo_mutable(FileCtx& ctx) {
+  const Toks& toks = ctx.ts->toks;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (!is_ident(toks[i], "mutable")) continue;
+    // `[..](..) mutable {` marks a lambda's copies writable, not state.
+    if (i > 0 && is_punct(toks[i - 1], ")")) continue;
+    ctx.emit("topo-mutable", toks[i].line,
+             "mutable member in the simulated world — probes must stay "
+             "pure functions of (address, date, seed)");
+  }
+}
+
 // ---- the table -------------------------------------------------------
 
 const std::vector<RuleDef>& rule_defs() {
@@ -349,6 +367,14 @@ const std::vector<RuleDef>& rule_defs() {
         "seq_cst default hides the synchronization design"},
        scope_ordered_atomics,
        run_conc_memory_order},
+      {{"topo-mutable", Severity::kError,
+        "no mutable members under src/topo/ — a lazy memo on the probe "
+        "path makes answers depend on probe history or take a lock",
+        "compute the value on each probe, or build an immutable table; "
+        "only observer side channels (PMTU map, name-server log) and "
+        "write-once table slots carry an allow"},
+       scope_topo,
+       run_topo_mutable},
   };
   return kRules;
 }

@@ -148,50 +148,126 @@ void trace_scan(MetricsRegistry* reg, const ScanResult& r) {
 
 }  // namespace
 
-ScanResult Zmap6::scan(const World& world, std::span<const Ipv6> targets,
-                       Proto proto, ScanDate date) const {
-  ThreadPool* pool = pool_.get();
-  if (pool == nullptr || targets.size() < kParallelMinTargets) {
-    ScanResult merged = scan_shard(world, targets, proto, date, 0, 1);
-    record_scan(merged);
-    trace_scan(cfg_.metrics, merged);
-    return merged;
+Zmap6::Verdict Zmap6::resolve(const World& world, const Ipv6& target,
+                              ProtoMask protos, ScanDate date) const {
+  if (cfg_.blocklist != nullptr && cfg_.blocklist->covers(target))
+    return kBlocked;
+  ProtoMask may = world.answers(target, date) & protos;
+  // The GFW injects on-path whether or not a host exists at the target.
+  if (mask_has(protos, Proto::Udp53) && !mask_has(may, Proto::Udp53) &&
+      world.behind_gfw(target))
+    may |= proto_bit(Proto::Udp53);
+  return may;
+}
+
+namespace {
+
+CyclicPermutation permutation(std::uint64_t n, std::uint64_t seed,
+                              Proto proto) {
+  return CyclicPermutation(n, hash_combine(seed, proto_index(proto)));
+}
+
+/// fn(index) for every target index on shard `shard`'s arc of `perm`, in
+/// probe order.
+template <typename Fn>
+void for_each_in_arc(const CyclicPermutation& perm, std::uint64_t n,
+                     std::uint32_t shard, std::uint32_t shards, Fn&& fn) {
+  const auto arc = perm.shard_arc(shard, shards);
+  std::uint64_t cur = perm.cycle_element(arc.begin);
+  for (std::uint64_t j = arc.begin; j < arc.end;
+       ++j, cur = perm.cycle_advance(cur)) {
+    const std::uint64_t index = perm.cycle_value(cur);
+    if (index < n) fn(index);  // else a skipped cycle position
+  }
+}
+
+}  // namespace
+
+std::vector<ScanResult> Zmap6::scan(const World& world,
+                                    std::span<const Ipv6> targets,
+                                    ProtoMask protos, ScanDate date) const {
+  std::vector<Proto> scanned;
+  for (Proto p : kAllProtos)
+    if (mask_has(protos, p)) scanned.push_back(p);
+  ThreadPool* pool =
+      targets.size() < kParallelMinTargets ? nullptr : pool_.get();
+
+  // 1. Resolve every target once for all scanned protocols.
+  std::vector<Verdict> verdicts(targets.size());
+  {
+    Span span = trace_span(cfg_.metrics, "scanner.resolve", SpanCat::kScanner,
+                           Stability::kVolatile);
+    span.attr("targets", static_cast<std::uint64_t>(targets.size()));
+    parallel_for(pool, targets.size(), parallel_chunks(pool, targets.size()),
+                 [&](std::size_t, std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i)
+                     verdicts[i] = resolve(world, targets[i], protos, date);
+                 });
   }
 
-  // One shard slice per pool thread; the ordered reduce concatenates the
-  // slices in shard order, which is exactly the sequential probe order.
-  const auto slices = static_cast<std::uint32_t>(pool->size());
-  ScanResult merged = ordered_reduce(
-      pool, slices, ScanResult{},
-      [&](std::size_t s) {
-        return scan_shard(world, targets, proto, date,
-                          static_cast<std::uint32_t>(s), slices);
-      },
-      [](ScanResult& acc, ScanResult& part) {
-        acc.blocked += part.blocked;
-        acc.probes_sent += part.probes_sent;
-        acc.responsive.insert(acc.responsive.end(),
-                              std::make_move_iterator(part.responsive.begin()),
-                              std::make_move_iterator(part.responsive.end()));
+  // 2. One shard slice per pool thread and protocol; concatenating a
+  // protocol's slices in shard order is exactly its sequential probe order.
+  const std::uint32_t slices =
+      pool == nullptr ? 1 : static_cast<std::uint32_t>(pool->size());
+  std::vector<ScanResult> parts = ordered_map<ScanResult>(
+      pool, scanned.size() * slices, [&](std::size_t k) {
+        return walk(world, targets, verdicts, scanned[k / slices], date,
+                    static_cast<std::uint32_t>(k % slices), slices);
       });
-  merged.proto = proto;
-  merged.date = date;
-  merged.targets = targets.size();
-  merged.duration_seconds = scan_duration_seconds(merged.probes_sent, cfg_.pps);
-  record_scan(merged);
-  trace_scan(cfg_.metrics, merged);
-  return merged;
+
+  std::vector<ScanResult> out;
+  out.reserve(scanned.size());
+  for (std::size_t pi = 0; pi < scanned.size(); ++pi) {
+    ScanResult merged;
+    merged.proto = scanned[pi];
+    merged.date = date;
+    merged.targets = targets.size();
+    for (std::uint32_t s = 0; s < slices; ++s) {
+      ScanResult& part = parts[pi * slices + s];
+      merged.blocked += part.blocked;
+      merged.probes_sent += part.probes_sent;
+      merged.responsive.insert(merged.responsive.end(),
+                               std::make_move_iterator(part.responsive.begin()),
+                               std::make_move_iterator(part.responsive.end()));
+    }
+    merged.duration_seconds =
+        scan_duration_seconds(merged.probes_sent, cfg_.pps);
+    record_scan(merged);
+    trace_scan(cfg_.metrics, merged);
+    out.push_back(std::move(merged));
+  }
+  return out;
+}
+
+ScanResult Zmap6::scan(const World& world, std::span<const Ipv6> targets,
+                       Proto proto, ScanDate date) const {
+  return std::move(scan(world, targets, proto_bit(proto), date).front());
 }
 
 ScanResult Zmap6::scan_shard(const World& world,
                              std::span<const Ipv6> targets, Proto proto,
                              ScanDate date, std::uint32_t shard,
                              std::uint32_t shards) const {
+  // Resolve only the targets on this shard's arc.
+  std::vector<Verdict> verdicts(targets.size());
+  if (!targets.empty() && shard < shards)
+    for_each_in_arc(permutation(targets.size(), cfg_.seed, proto),
+                    targets.size(), shard, shards, [&](std::uint64_t i) {
+                      verdicts[i] =
+                          resolve(world, targets[i], proto_bit(proto), date);
+                    });
+  return walk(world, targets, verdicts, proto, date, shard, shards);
+}
+
+ScanResult Zmap6::walk(const World& world, std::span<const Ipv6> targets,
+                       std::span<const Verdict> verdicts, Proto proto,
+                       ScanDate date, std::uint32_t shard,
+                       std::uint32_t shards) const {
   ScanResult result;
   result.proto = proto;
   result.date = date;
   result.targets = targets.size();
-  if (targets.empty() || shards == 0 || shard >= shards) return result;
+  if (targets.empty() || shard >= shards) return result;
 
   // Volatile: the shard fan-out (and so this span's existence) depends on
   // the pool size, which the stable surface must not see.
@@ -201,29 +277,25 @@ ScanResult Zmap6::scan_shard(const World& world,
       .attr("shard", static_cast<std::uint64_t>(shard))
       .attr("shards", static_cast<std::uint64_t>(shards));
 
-  const CyclicPermutation perm(targets.size(),
-                               hash_combine(cfg_.seed, proto_index(proto)));
-  const auto arc = perm.shard_arc(shard, shards);
-  std::uint64_t cur = perm.cycle_element(arc.begin);
-  for (std::uint64_t j = arc.begin; j < arc.end;
-       ++j, cur = perm.cycle_advance(cur)) {
-    const std::uint64_t index = perm.cycle_value(cur);
-    if (index >= targets.size()) continue;  // skipped cycle position
-    const Ipv6& t = targets[index];
-    if (cfg_.blocklist != nullptr && cfg_.blocklist->covers(t)) {
-      ++result.blocked;
-      continue;
-    }
-    bool answered = false;
-    for (int attempt = 0; attempt <= cfg_.retries && !answered; ++attempt) {
-      ++result.probes_sent;
-      if (lost(t, proto, date, attempt)) continue;
-      auto rec = probe_one(world, t, proto, date);
-      if (!rec) break;  // target does not answer; retrying won't help
-      result.responsive.push_back(std::move(*rec));
-      answered = true;
-    }
-  }
+  for_each_in_arc(
+      permutation(targets.size(), cfg_.seed, proto), targets.size(), shard,
+      shards, [&](std::uint64_t index) {
+        const Verdict v = verdicts[index];
+        if ((v & kBlocked) != 0) {
+          ++result.blocked;
+          return;
+        }
+        const Ipv6& t = targets[index];
+        for (int attempt = 0; attempt <= cfg_.retries; ++attempt) {
+          ++result.probes_sent;
+          if (lost(t, proto, date, attempt)) continue;
+          // A target that cannot answer stays silent; retrying won't help.
+          if (!mask_has(v, proto)) break;
+          auto rec = probe_one(world, t, proto, date);
+          if (rec) result.responsive.push_back(std::move(*rec));
+          break;
+        }
+      });
   result.duration_seconds = scan_duration_seconds(result.probes_sent, cfg_.pps);
   record_shard(result);
   shard_span.attr("probes", result.probes_sent);

@@ -89,6 +89,17 @@ class Zmap6 {
   /// one pool). A null pool restores the sequential path.
   void set_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
 
+  /// Scan `targets` on `date` for every protocol in `protos`: one result
+  /// per protocol, in kAllProtos order. Each target is resolved once — its
+  /// blocklist verdict and World::answers — in one parallel pass; each
+  /// protocol then walks its own permutation over that column, probing the
+  /// world only where a response can come back. Results, probe order and
+  /// counters equal one single-protocol scan per protocol.
+  [[nodiscard]] std::vector<ScanResult> scan(const World& world,
+                                             std::span<const Ipv6> targets,
+                                             ProtoMask protos,
+                                             ScanDate date) const;
+
   /// Scan `targets` for `proto` on `date`.
   [[nodiscard]] ScanResult scan(const World& world, std::span<const Ipv6> targets,
                                 Proto proto, ScanDate date) const;
@@ -96,10 +107,11 @@ class Zmap6 {
   /// Distributed scanning (ZMap --shards/--shard): probe only the targets
   /// of shard `shard` of `shards`. Each shard owns a contiguous arc of
   /// the permutation cycle, so the union over all shards equals a full
-  /// scan, each shard only walks its own O(N/shards) slice, each shard's
-  /// load spreads across the address space like the full run, and
-  /// concatenating shard results in shard order reproduces the full
-  /// scan's probe order byte-for-byte (which is how scan() parallelizes).
+  /// scan, each shard only resolves and walks its own O(N/shards) slice,
+  /// each shard's load spreads across the address space like the full
+  /// run, and concatenating shard results in shard order reproduces the
+  /// full scan's probe order byte-for-byte (which is how scan()
+  /// parallelizes).
   [[nodiscard]] ScanResult scan_shard(const World& world,
                                       std::span<const Ipv6> targets,
                                       Proto proto, ScanDate date,
@@ -118,6 +130,22 @@ class Zmap6 {
  private:
   [[nodiscard]] bool lost(const Ipv6& target, Proto proto, ScanDate date,
                           int attempt) const;
+
+  /// A target's resolution for one scan: the protocols of the scanned set
+  /// whose probe can draw a response (for UDP/53 that includes GFW
+  /// injections), or kBlocked. Lives for one scan call only.
+  using Verdict = std::uint8_t;
+  static constexpr Verdict kBlocked = 0x80;
+  [[nodiscard]] Verdict resolve(const World& world, const Ipv6& target,
+                                ProtoMask protos, ScanDate date) const;
+
+  /// The per-probe classification loop: walk shard `shard` of `shards` of
+  /// `proto`'s permutation over `targets` and their `verdicts`.
+  [[nodiscard]] ScanResult walk(const World& world,
+                                std::span<const Ipv6> targets,
+                                std::span<const Verdict> verdicts, Proto proto,
+                                ScanDate date, std::uint32_t shard,
+                                std::uint32_t shards) const;
 
   void init_metrics();
   /// Shard-level accounting: each shard slice adds its own totals (the

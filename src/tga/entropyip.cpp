@@ -39,12 +39,16 @@ std::vector<EntropyIp::Segment> EntropyIp::segment(
   const AddrBatch batch(seeds);
   std::vector<std::uint64_t> field(seeds.size());
 
+  // A segment's values are 64-bit folds of its nibbles, so a segment
+  // spans at most 16 nibbles: a wider run of similar entropy is cut.
+  constexpr int kMaxNibbles = 16;
   int begin = 0;
   for (int pos = 1; pos <= 32; ++pos) {
     const bool split =
-        pos == 32 || std::abs(entropy[static_cast<std::size_t>(pos)] -
-                              entropy[static_cast<std::size_t>(pos - 1)]) >
-                         cfg_.segment_split;
+        pos == 32 || pos - begin == kMaxNibbles ||
+        std::abs(entropy[static_cast<std::size_t>(pos)] -
+                 entropy[static_cast<std::size_t>(pos - 1)]) >
+            cfg_.segment_split;
     if (!split) continue;
     Segment seg;
     seg.begin = begin;
@@ -54,11 +58,8 @@ std::vector<EntropyIp::Segment> EntropyIp::segment(
     seg.mean_entropy = sum / (pos - begin);
 
     // Classify by value diversity within the segment (batch field scan).
-    // Segments wider than 16 nibbles overflow the 64-bit fold — only the
-    // last 16 nibbles survive, which the clamped field reproduces.
     std::unordered_map<std::uint64_t, std::size_t> values;
-    batch.nibble_field(std::max(seg.begin, seg.end - 16), seg.end,
-                       field.data());
+    batch.nibble_field(seg.begin, seg.end, field.data());
     for (const std::uint64_t v : field) ++values[v];
     if (values.size() == 1) {
       seg.kind = Segment::Kind::Constant;
@@ -141,10 +142,8 @@ std::vector<Ipv6> EntropyIp::generate(std::span<const Ipv6> seeds,
   std::vector<std::vector<std::uint64_t>> seg_values(segments.size());
   for (std::size_t si = 0; si < segments.size(); ++si) {
     seg_values[si].resize(seeds.size());
-    // Clamped to the last 16 nibbles: matches the 64-bit overflow of the
-    // scalar fold for oversized segments.
-    batch.nibble_field(std::max(segments[si].begin, segments[si].end - 16),
-                       segments[si].end, seg_values[si].data());
+    batch.nibble_field(segments[si].begin, segments[si].end,
+                       seg_values[si].data());
   }
   auto models = ordered_map<Model>(pool_, segments.size(), [&](std::size_t si) {
     Model model;

@@ -1,15 +1,13 @@
 #include "topo/aliased_region.hpp"
 
-#include <mutex>
+#include <algorithm>
 
 #include "netbase/hash.hpp"
 
 namespace sixdust {
 
 AliasedRegion::AliasedRegion(Config cfg)
-    : cfg_(std::move(cfg)), coverage_(cfg_.prefixes) {
-  sparse_units_.resize(cfg_.prefixes.size());
-}
+    : cfg_(std::move(cfg)), coverage_(cfg_.prefixes) {}
 
 std::uint32_t AliasedRegion::sparse_count_at(ScanDate d) const {
   if (cfg_.sparse64_count == 0) return 0;
@@ -30,29 +28,25 @@ Prefix AliasedRegion::sparse_unit(std::size_t prefix_idx,
       Ipv6::from_words(p.base().hi() | (bit_reverse64(h) & host_hi), 0), 64);
 }
 
-bool AliasedRegion::sparse_member(std::size_t pi, const Ipv6& a,
-                                  std::uint32_t want) const {
-  const auto& units = sparse_units_[pi];
-  const auto member = [&] {
-    const auto it = units.find(Prefix::mask(a, 64).hi());
-    return it != units.end() && it->second < want;
-  };
-  {
-    std::shared_lock lk(sparse_mutex_);
-    if (sparse_built_for_ >= want) return member();
-  }
-  std::unique_lock lk(sparse_mutex_);
-  if (sparse_built_for_ < want) {
-    for (std::size_t i = 0; i < cfg_.prefixes.size(); ++i) {
-      auto& map = sparse_units_[i];
-      map.reserve(want * 2);
-      // emplace keeps the first, i.e. smallest, index of a repeated /64.
-      for (std::uint32_t j = sparse_built_for_; j < want; ++j)
-        map.emplace(sparse_unit(i, j).base().hi(), j);
+const AliasedRegion::SparseTable& AliasedRegion::sparse_table(
+    ScanDate d) const {
+  const std::uint32_t want = sparse_count_at(d);
+  const std::uint64_t slot =
+      cfg_.sparse64_growth == 0
+          ? 0
+          : static_cast<std::uint64_t>(d.index - cfg_.appears);
+  return sparse_tables_.get(slot, [&] {
+    SparseTable table(cfg_.prefixes.size());
+    for (std::size_t pi = 0; pi < cfg_.prefixes.size(); ++pi) {
+      auto& words = table[pi];
+      words.reserve(want);
+      for (std::uint32_t j = 0; j < want; ++j)
+        words.push_back(sparse_unit(pi, j).base().hi());
+      std::sort(words.begin(), words.end());
+      words.erase(std::unique(words.begin(), words.end()), words.end());
     }
-    sparse_built_for_ = want;
-  }
-  return member();
+    return table;
+  });
 }
 
 std::optional<Prefix> AliasedRegion::unit_of(const Ipv6& a,
@@ -62,10 +56,11 @@ std::optional<Prefix> AliasedRegion::unit_of(const Ipv6& a,
   if (!covering) return std::nullopt;
   if (cfg_.sparse64_count == 0) return covering;
 
-  const std::uint32_t want = sparse_count_at(d);
   for (std::size_t pi = 0; pi < cfg_.prefixes.size(); ++pi) {
     if (!cfg_.prefixes[pi].contains(a)) continue;
-    if (sparse_member(pi, a, want)) return Prefix::make(a, 64);
+    const auto& words = sparse_table(d)[pi];
+    if (std::binary_search(words.begin(), words.end(), a.hi()))
+      return Prefix::make(a, 64);
     return std::nullopt;
   }
   return std::nullopt;

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <shared_mutex>
-#include <unordered_map>
+#include <vector>
 
+#include "core/write_once_slots.hpp"
 #include "netbase/prefix_set.hpp"
 #include "topo/deployment.hpp"
 
@@ -91,22 +91,19 @@ class AliasedRegion final : public Deployment {
   /// The aliased unit containing `a` (whole prefix or active /64).
   [[nodiscard]] std::optional<Prefix> unit_of(const Ipv6& a, ScanDate d) const;
 
-  /// Extend the lazy active-/64 lookup to cover `want` units and test
-  /// whether `a`'s /64 is one of the first `want` units of prefix `pi` —
-  /// thread-safe (host() runs concurrently on the parallel scan path; the
-  /// cache grows append-only under a writer lock and stores unit indices,
-  /// so its answers do not depend on which dates were probed before).
-  [[nodiscard]] bool sparse_member(std::size_t pi, const Ipv6& a,
-                                   std::uint32_t want) const;
+  /// Active /64 base words of each configured prefix on `d` (the first
+  /// sparse_count_at(d) units), sorted and unique. Built on first use per
+  /// date and published through a write-once slot: probes take no lock,
+  /// and an answer never depends on which dates were probed before.
+  using SparseTable = std::vector<std::vector<std::uint64_t>>;
+  [[nodiscard]] const SparseTable& sparse_table(ScanDate d) const;
 
   Config cfg_;
   PrefixSet coverage_;
-  // Lazily built lookup per configured prefix: active /64 base word ->
-  // smallest unit index j that produces it.
-  mutable std::shared_mutex sparse_mutex_;
-  mutable std::vector<std::unordered_map<std::uint64_t, std::uint32_t>>
-      sparse_units_;
-  mutable std::uint32_t sparse_built_for_ = 0;
+  // One table per date since the region appeared (a single one when the
+  // active set does not grow).
+  // sixdust-lint: allow(topo-mutable) — write-once sparse /64 table slots
+  mutable WriteOnceSlots<SparseTable> sparse_tables_;
 };
 
 }  // namespace sixdust

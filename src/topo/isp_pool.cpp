@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "netbase/hash.hpp"
 
@@ -55,43 +54,68 @@ std::optional<std::uint32_t> IspPool::subnet_of(const Ipv6& a) const {
   return s;
 }
 
-const std::unordered_set<std::uint32_t>& IspPool::active_set(int epoch) const {
-  {
-    std::shared_lock lk(active_mutex_);
-    auto it = active_.find(epoch);
-    if (it != active_.end()) return it->second;
+namespace {
+
+// Flag bits of an activity word (the subnet sits above them).
+constexpr std::uint64_t kActiveNow = 1;
+constexpr std::uint64_t kActiveBefore = 2;
+
+}  // namespace
+
+std::uint32_t IspPool::active_draw(int epoch, std::uint32_t j) const {
+  return static_cast<std::uint32_t>(
+      hash_combine(hash_combine(cfg_.seed, 0xAC71F),
+                   (static_cast<std::uint64_t>(epoch) << 32) | j) &
+      subnet_space_mask_);
+}
+
+std::vector<std::uint64_t> IspPool::build_activity(int epoch) const {
+  std::vector<std::uint64_t> words;
+  for (std::uint32_t j = 0; j < cfg_.active_per_scan; ++j)
+    words.push_back(std::uint64_t{active_draw(epoch, j)} << 2 | kActiveNow);
+  if (cfg_.reactivation > 0) {
+    for (int pe = 0; pe < epoch; ++pe)
+      for (std::uint32_t j = 0; j < cfg_.active_per_scan; ++j)
+        words.push_back(std::uint64_t{active_draw(pe, j)} << 2 | kActiveBefore);
   }
-  std::unique_lock lk(active_mutex_);
-  auto it = active_.find(epoch);  // another thread may have built it
-  if (it != active_.end()) return it->second;
-  std::unordered_set<std::uint32_t> set;
-  set.reserve(cfg_.active_per_scan * 2);
-  for (std::uint32_t j = 0; j < cfg_.active_per_scan; ++j) {
-    const auto s = static_cast<std::uint32_t>(
-        hash_combine(hash_combine(cfg_.seed, 0xAC71F),
-                     (static_cast<std::uint64_t>(epoch) << 32) | j) &
-        subnet_space_mask_);
-    set.insert(s);
+  // One word per subnet, carrying the union of its flags.
+  std::sort(words.begin(), words.end());
+  std::size_t out = 0;
+  for (const std::uint64_t w : words) {
+    if (out > 0 && words[out - 1] >> 2 == w >> 2)
+      words[out - 1] |= w;
+    else
+      words[out++] = w;
   }
-  return active_.emplace(epoch, std::move(set)).first->second;
+  words.resize(out);
+  words.shrink_to_fit();
+  return words;
+}
+
+const std::vector<std::uint64_t>& IspPool::activity(int epoch) const {
+  return activity_.get(static_cast<std::uint64_t>(epoch),
+                       [&] { return build_activity(epoch); });
 }
 
 std::optional<HostBehavior> IspPool::host(const Ipv6& a, ScanDate d) const {
-  if (d.index < cfg_.appears) return std::nullopt;
+  // Scans are numbered from 0: there is no epoch before the first one.
+  if (d.index < cfg_.appears || d.index < 0) return std::nullopt;
   auto s = subnet_of(a);
   if (!s) return std::nullopt;
   const int e = epoch(d);
-  bool live = active_set(e).contains(*s);
-  if (!live && cfg_.reactivation > 0 && e > 0) {
+  const auto& words = activity(e);
+  const auto it =
+      std::lower_bound(words.begin(), words.end(), std::uint64_t{*s} << 2);
+  const std::uint64_t flags =
+      it != words.end() && *it >> 2 == *s ? *it & 3 : 0;
+  bool live = (flags & kActiveNow) != 0;
+  if (!live && (flags & kActiveBefore) != 0) {
     // An address from an earlier epoch can come back online when the ISP
     // re-assigns the prefix — this is what the paper's re-scan of the
     // 30-day-unresponsive pool finds (1.2 M addresses responsive again).
-    for (int pe = 0; pe < e && !live; ++pe) {
-      if (!active_set(pe).contains(*s)) continue;
-      live = unit_from_hash(hash_combine(
-                 hash_combine(cfg_.seed ^ 0x5EAC7, *s),
-                 static_cast<std::uint64_t>(e))) < cfg_.reactivation;
-    }
+    live = unit_from_hash(hash_combine(
+               hash_combine(cfg_.seed ^ 0x5EAC7, *s),
+               static_cast<std::uint64_t>(e))) < cfg_.reactivation;
   }
   if (!live) return std::nullopt;
   HostBehavior b;
@@ -127,15 +151,13 @@ std::optional<HostBehavior> IspPool::host(const Ipv6& a, ScanDate d) const {
 
 void IspPool::enumerate_known(ScanDate d,
                               std::vector<KnownAddress>& out) const {
-  if (d.index < cfg_.appears) return;
-  // Atlas-style traceroutes observe every currently active CPE. Delivery
-  // order feeds InputDb insertion order, so walk the set sorted rather
-  // than in hash order.
-  const auto& active = active_set(epoch(d));
-  std::vector<std::uint32_t> subs(active.begin(), active.end());
-  std::sort(subs.begin(), subs.end());
-  for (std::uint32_t s : subs)
-    out.push_back(KnownAddress{cpe_address(s), cfg_.known_tags});
+  if (d.index < cfg_.appears || d.index < 0) return;
+  // Atlas-style traceroutes observe every currently active CPE, in subnet
+  // order (delivery order feeds InputDb insertion order).
+  for (const std::uint64_t w : activity(epoch(d)))
+    if ((w & kActiveNow) != 0)
+      out.push_back(KnownAddress{cpe_address(static_cast<std::uint32_t>(w >> 2)),
+                                 cfg_.known_tags});
   // ... plus a larger set of transient CPEs that answered at some point
   // during the scan window but have rotated away by probing time.
   const std::uint32_t extra = cfg_.discovered_per_scan > cfg_.active_per_scan

@@ -1,9 +1,8 @@
 #pragma once
 
-#include <shared_mutex>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
+#include "core/write_once_slots.hpp"
 #include "netbase/eui64.hpp"
 #include "topo/deployment.hpp"
 
@@ -65,20 +64,23 @@ class IspPool final : public Deployment {
   [[nodiscard]] int epoch(ScanDate d) const {
     return d.index / cfg_.rotation_scans;
   }
-  /// Memo of the active-subnet draw for `epoch` — thread-safe: host()
-  /// runs concurrently on the parallel scan path. Entries are built once
-  /// under a writer lock and never modified afterwards, so the returned
-  /// reference stays valid and immutable (unordered_map nodes are stable).
-  [[nodiscard]] const std::unordered_set<std::uint32_t>& active_set(
-      int epoch) const;
+  /// Activity of rotation epoch `epoch`: every subnet active in it or (when
+  /// reactivation is on) in an earlier epoch, one `subnet << 2 | flags` word
+  /// each, sorted by subnet. Built from the epoch's own draws and those of
+  /// the epochs before it on first use, and published through a write-once
+  /// slot, so host() does one binary search and takes no lock.
+  [[nodiscard]] const std::vector<std::uint64_t>& activity(int epoch) const;
+  [[nodiscard]] std::vector<std::uint64_t> build_activity(int epoch) const;
+  /// Subnet of the j-th active-CPE draw of `epoch` (duplicates possible).
+  [[nodiscard]] std::uint32_t active_draw(int epoch, std::uint32_t j) const;
   [[nodiscard]] std::uint32_t mac_index(std::uint32_t subnet) const;
   [[nodiscard]] std::optional<std::uint32_t> subnet_of(const Ipv6& a) const;
 
   Config cfg_;
   std::vector<Prefix> prefixes_;
   std::uint32_t subnet_space_mask_;
-  mutable std::shared_mutex active_mutex_;
-  mutable std::unordered_map<int, std::unordered_set<std::uint32_t>> active_;
+  // sixdust-lint: allow(topo-mutable) — write-once epoch table slots
+  mutable WriteOnceSlots<std::vector<std::uint64_t>> activity_;
 };
 
 }  // namespace sixdust

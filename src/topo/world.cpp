@@ -49,6 +49,11 @@ std::optional<HostBehavior> World::truth_host(const Ipv6& a,
   return dep->host(a, d);
 }
 
+ProtoMask World::answers(const Ipv6& target, ScanDate d) const {
+  const auto h = truth_host(target, d);
+  return h ? h->responsive : ProtoMask{0};
+}
+
 Ipv6 World::own_zone_answer(std::string_view qname) {
   std::uint64_t h = 14695981039346656037ULL;
   for (char c : qname) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
@@ -70,7 +75,7 @@ std::optional<IcmpEchoReply> World::icmp_echo(const Ipv6& target,
   IcmpEchoReply reply;
   reply.payload_size = req.payload_size;
   std::uint16_t pmtu = kDefaultPmtu;
-  {
+  if (pmtu_used_.load(std::memory_order_acquire)) {
     std::shared_lock lk(pmtu_mutex_);
     auto it = pmtu_.find(h->key);
     if (it != pmtu_.end()) pmtu = it->second;
@@ -86,6 +91,7 @@ void World::icmp_packet_too_big(const Ipv6& target, IcmpPacketTooBig ptb,
   if (!h || !h->can_fragment) return;
   std::unique_lock lk(pmtu_mutex_);
   pmtu_[h->key] = ptb.mtu;
+  pmtu_used_.store(true, std::memory_order_release);
 }
 
 std::optional<TcpSynAck> World::tcp_syn(const Ipv6& target,

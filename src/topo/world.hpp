@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -29,18 +30,21 @@ namespace sixdust {
 /// covering deployment. The two deliberate pieces of mutable state are the
 /// per-host PMTU caches (the side channel exploited by the Too Big Trick)
 /// and the log of our controlled name server (the Sec. 4.2 validation
-/// experiment). The lazy deployment memos are not state in this sense:
-/// `IspPool` keys its draw by epoch and `AliasedRegion` stores the unit
-/// index of every active /64, so a probe on date d answers the same
-/// whichever dates were probed before.
+/// experiment). There is no lazy memo behind a lock: the deployment tables
+/// that are built on first use (`IspPool`'s per-epoch activity columns,
+/// `AliasedRegion`'s active /64s per date) are immutable once published
+/// through write-once slots, and each is a pure function of its epoch or
+/// date, so a probe on date d answers the same whichever dates were probed
+/// before.
 ///
 /// Thread-safety contract (see DESIGN.md, "Concurrency model"): the const
-/// probe surface — icmp_echo, tcp_syn, dns_query, quic_probe, probe,
-/// path_to, truth_host — may be called concurrently, also with different
-/// ScanDates in flight. Probe results are pure functions of (address,
-/// date, seed), so interleaving never changes what a probe observes. The
-/// side-channel state is internally guarded: the PMTU caches by a
-/// reader/writer lock, the name-server log by a mutex. Two order-sensitive
+/// probe surface — answers, icmp_echo, tcp_syn, dns_query, quic_probe,
+/// probe, path_to, truth_host — may be called concurrently, also with
+/// different ScanDates in flight. Probe results are pure functions of
+/// (address, date, seed), so interleaving never changes what a probe
+/// observes. The side-channel state is internally guarded: the PMTU caches
+/// by a reader/writer lock that probes skip until the first Packet Too Big
+/// has been delivered, the name-server log by a mutex. Two order-sensitive
 /// side channels remain deterministic only under single-threaded use,
 /// which their callers guarantee: PTB writes (the Too Big Trick runs its
 /// own sequential probe discipline) and the ns_log_ append order (only
@@ -61,6 +65,13 @@ class World {
         std::vector<TransitAs> transits, std::uint64_t seed);
 
   // --- Probe surface ------------------------------------------------------
+
+  /// The protocols the host at `target` answers on `d`: one deployment
+  /// lookup and one host computation. Bit p is set exactly when the probe
+  /// for p finds the host (icmp_echo, tcp_syn to 80/443, quic_probe); the
+  /// UDP/53 bit covers the host only — GFW injections, which answer for
+  /// absent hosts too, come from dns_query alone.
+  [[nodiscard]] ProtoMask answers(const Ipv6& target, ScanDate d) const;
 
   [[nodiscard]] std::optional<IcmpEchoReply> icmp_echo(const Ipv6& target,
                                                        IcmpEchoRequest req,
@@ -129,6 +140,7 @@ class World {
   void reset_pmtu() const {
     std::unique_lock lk(pmtu_mutex_);
     pmtu_.clear();
+    pmtu_used_.store(false, std::memory_order_release);
   }
 
   // --- Context ------------------------------------------------------------
@@ -163,9 +175,17 @@ class World {
   /// (deployments never change after world build), so deployment_of() is
   /// one binary search on every probe path.
   FrozenLpm<std::size_t> by_prefix_;
+  // sixdust-lint: allow(topo-mutable) — PMTU side channel (Too Big Trick)
   mutable std::shared_mutex pmtu_mutex_;
+  // sixdust-lint: allow(topo-mutable) — PMTU side channel (Too Big Trick)
   mutable std::unordered_map<HostKey, std::uint16_t> pmtu_;
+  /// Set once a Packet Too Big reached a host: until then every PMTU is
+  /// the default and icmp_echo skips the lock.
+  // sixdust-lint: allow(topo-mutable) — PMTU side channel (Too Big Trick)
+  mutable std::atomic<bool> pmtu_used_{false};
+  // sixdust-lint: allow(topo-mutable) — name-server log (Sec. 4.2 validation)
   mutable std::mutex ns_log_mutex_;
+  // sixdust-lint: allow(topo-mutable) — name-server log (Sec. 4.2 validation)
   mutable std::vector<NsLogEntry> ns_log_;
 };
 

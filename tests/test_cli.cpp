@@ -152,7 +152,7 @@ TEST(CliLoadgenTool, ExitsNonzeroWhenServerUnreachable) {
       "sixdust-loadgen",
       "--connect unix:/nonexistent-sixdust.sock --requests 1 --concurrency 1");
   if (code == -2) GTEST_SKIP() << "sixdust-loadgen not built";
-  EXPECT_EQ(code, 2);  // exit 2 = could not connect at all
+  EXPECT_EQ(code, 3);  // exit 3 = could not connect at all
 }
 
 TEST(CliLoadgenTool, ExitsNonzeroOnBadConnectSpec) {
@@ -170,7 +170,7 @@ TEST(CliLoadgenTool, DiesNonzeroOnUnwritableJsonOut) {
       "--json-out /nonexistent-sixdust-dir/loadgen.json");
   if (code == -2) GTEST_SKIP() << "sixdust-loadgen not built";
   EXPECT_GT(code, 0);
-  EXPECT_NE(code, 2);  // not the unreachable-server code: it never connected
+  EXPECT_NE(code, 3);  // not the unreachable-server code: it never connected
 }
 
 TEST(CliServeTool, DiesNonzeroOnBadHttpSpec) {
@@ -189,11 +189,25 @@ TEST(CliServeTool, DiesNonzeroOnUnwritableTimeseriesOut) {
   EXPECT_GT(code, 0);
 }
 
-TEST(CliTopTool, ExitsTwoWhenEndpointUnreachable) {
+TEST(CliTopTool, ExitsThreeWhenEndpointUnreachable) {
   const int code = run_tool(
       "sixdust-top", "--connect unix:/nonexistent-sixdust.sock --iterations 1");
   if (code == -2) GTEST_SKIP() << "sixdust-top not built";
-  EXPECT_EQ(code, 2);  // documented: 2 = unreachable on the first poll
+  EXPECT_EQ(code, 3);  // documented: 3 = unreachable on the first poll
+}
+
+TEST(CliTopTool, UnknownOptionIsAUsageErrorNotUnreachable) {
+  const int code = run_tool(
+      "sixdust-top", "--connect unix:/nonexistent-sixdust.sock --bogus 1");
+  if (code == -2) GTEST_SKIP() << "sixdust-top not built";
+  EXPECT_EQ(code, 2);  // usage errors exit 2, before any poll
+}
+
+TEST(CliLoadgenTool, UnknownOptionIsAUsageErrorNotUnreachable) {
+  const int code = run_tool(
+      "sixdust-loadgen", "--connect unix:/nonexistent-sixdust.sock --bogus 1");
+  if (code == -2) GTEST_SKIP() << "sixdust-loadgen not built";
+  EXPECT_EQ(code, 2);  // usage errors exit 2, before any connect
 }
 
 TEST(CliTopTool, ExitsNonzeroOnBadConnectSpec) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <unordered_set>
 
 #include "netbase/hash.hpp"
@@ -123,6 +124,53 @@ TEST(EntropyIp, RandomSegmentsAreClassified) {
   ASSERT_FALSE(segments.empty());
   EXPECT_EQ(segments.back().kind, EntropyIp::Segment::Kind::Random);
   EXPECT_GT(segments.back().mean_entropy, 3.2);
+}
+
+TEST(EntropyIp, WideRandomRunIsCutIntoSixteenNibbleSegments) {
+  // Nibbles 8..31 are uniformly random: one entropy run of 24 nibbles,
+  // wider than the 64-bit segment value.
+  std::vector<Ipv6> seeds;
+  for (std::uint64_t i = 0; i < 400; ++i)
+    seeds.push_back(Ipv6::from_words(
+        0x20010db800000000ULL | (mix64(i) >> 32), mix64(i ^ 0x5eed)));
+  EntropyIp eip{EntropyIp::Config{}};
+  const auto segments = eip.segment(seeds);
+  int pos = 0;
+  for (const auto& s : segments) {
+    EXPECT_EQ(s.begin, pos);
+    EXPECT_LE(s.end - s.begin, 16);
+    pos = s.end;
+  }
+  EXPECT_EQ(pos, 32);
+
+  const auto out = eip.generate(seeds, 2000);
+  ASSERT_GT(out.size(), 1000u);
+  const Ipv6 prefix = ip("2001:db8::");
+  std::array<std::array<std::size_t, 16>, 32> seen{};
+  std::array<std::size_t, 16> repeats{};  // nibble p equal to nibble p + 16
+  for (const auto& a : out) {
+    for (int p = 0; p < 32; ++p) {
+      if (p < 8) {
+        EXPECT_EQ(a.nibble(p), prefix.nibble(p)) << a.str();
+      }
+      ++seen[static_cast<std::size_t>(p)][a.nibble(p)];
+    }
+    for (int p = 8; p < 16; ++p) {
+      if (a.nibble(p) == a.nibble(p + 16))
+        ++repeats[static_cast<std::size_t>(p)];
+    }
+  }
+  // Every random nibble takes (nearly) every value, and the upper nibbles
+  // are drawn, not copies of the nibbles 16 positions further down.
+  for (int p = 8; p < 32; ++p) {
+    std::size_t values = 0;
+    for (const std::size_t c : seen[static_cast<std::size_t>(p)])
+      values += c > 0 ? 1 : 0;
+    EXPECT_GE(values, 14u) << "nibble " << p;
+  }
+  for (int p = 8; p < 16; ++p)
+    EXPECT_LT(repeats[static_cast<std::size_t>(p)], out.size() / 4)
+        << "nibble " << p;
 }
 
 }  // namespace

@@ -327,6 +327,30 @@ TEST(LintRules, ConcMemoryOrderBindsCoreServeObs) {
       0u);
 }
 
+TEST(LintRules, TopoMutableFlagsUnannotatedWorldState) {
+  const std::string memo =
+      "class Pool {\n"
+      "  mutable std::unordered_map<int, Set> memo_;\n"
+      "};\n";
+  EXPECT_TRUE(has_at(lint_one("src/topo/pool.hpp", memo), "topo-mutable", 2));
+  // Other layers keep their own conventions.
+  EXPECT_EQ(lint_one("src/scanner/pool.hpp", memo).findings.size(), 0u);
+}
+
+TEST(LintRules, TopoMutablePassesAnnotatedSlotsAndMutableLambdas) {
+  const LintResult r = lint_one(
+      "src/topo/pool.hpp",
+      "class Pool {\n"
+      "  // sixdust-lint: allow(topo-mutable) — write-once table slots\n"
+      "  mutable WriteOnceSlots<Column> columns_;\n"
+      "  mutable std::mutex log_mutex_;  "
+      "// sixdust-lint: allow(topo-mutable) — name-server log\n"
+      "  void f() { auto g = [n = 0]() mutable { return ++n; }; }\n"
+      "};\n");
+  EXPECT_EQ(count_rule(r, "topo-mutable", false), 0u);
+  EXPECT_EQ(count_rule(r, "topo-mutable", true), 2u);
+}
+
 // ---- manifest --------------------------------------------------------
 
 TEST(LintManifest, RecoversNamesStabilityAndWrappers) {

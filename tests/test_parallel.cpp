@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,8 +14,12 @@
 #include "alias/apd.hpp"
 #include "core/parallel.hpp"
 #include "core/thread_pool.hpp"
+#include "core/write_once_slots.hpp"
 #include "hitlist/service.hpp"
 #include "obs/trace.hpp"
+#include "netbase/hash.hpp"
+#include "scanner/cyclic.hpp"
+#include "scanner/rate_limit.hpp"
 #include "scanner/zmap6.hpp"
 #include "topo/world_builder.hpp"
 #include "traceroute/yarrp.hpp"
@@ -130,6 +135,41 @@ TEST(Parallel, OrderedReduceMatchesSequentialFold) {
   EXPECT_EQ(parallel, sequential);
 }
 
+TEST(ParallelWriteOnceSlots, ConcurrentGetPublishesOneValuePerSlot) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kSlots = 300;  // segments 0..8
+  WriteOnceSlots<std::vector<std::uint64_t>> slots;
+  std::vector<const std::vector<std::uint64_t>*> seen(kThreads * kSlots);
+  ThreadPool pool(kThreads);
+  parallel_for(&pool, kThreads, kThreads,
+               [&](std::size_t t, std::size_t, std::size_t) {
+                 for (std::uint64_t k = 0; k < kSlots; ++k) {
+                   const std::uint64_t i = t % 2 == 0 ? k : kSlots - 1 - k;
+                   seen[t * kSlots + i] = &slots.get(i, [i] {
+                     return std::vector<std::uint64_t>(3, i);
+                   });
+                 }
+               });
+  // A published slot is never built again.
+  const auto unused = [] { return std::vector<std::uint64_t>{}; };
+  for (std::uint64_t i = 0; i < kSlots; ++i) {
+    ASSERT_EQ(&slots.get(i, unused), seen[i]) << i;
+    EXPECT_EQ(*seen[i], std::vector<std::uint64_t>(3, i));
+    for (std::size_t t = 1; t < kThreads; ++t)
+      EXPECT_EQ(seen[t * kSlots + i], seen[i]) << "slot " << i;
+  }
+  // Indices far past the others, at both ends of their segment.
+  for (const std::uint64_t i : {std::uint64_t{1} << 20,
+                                (std::uint64_t{1} << 20) - 1,
+                                (std::uint64_t{1} << 21) - 2}) {
+    EXPECT_EQ(slots.get(i, [i] { return std::vector<std::uint64_t>{i}; }),
+              std::vector<std::uint64_t>{i});
+    EXPECT_EQ(slots.get(i, unused), std::vector<std::uint64_t>{i});
+  }
+  EXPECT_THROW((void)slots.get((std::uint64_t{1} << 32) - 1, unused),
+               std::out_of_range);
+}
+
 // --- scan-stage equivalence --------------------------------------------------
 
 void expect_same_scan(const ScanResult& a, const ScanResult& b) {
@@ -149,6 +189,118 @@ void expect_same_scan(const ScanResult& a, const ScanResult& b) {
     if (ra.dns && rb.dns) {
       EXPECT_EQ(ra.dns->response_count, rb.dns->response_count);
       EXPECT_EQ(ra.dns->rcode, rb.dns->rcode);
+    }
+  }
+}
+
+// --- multi-protocol scan -----------------------------------------------------
+
+/// The single-protocol scan loop Zmap6 ran before its resolution pass: a
+/// blocklist lookup per target and protocol, and every probe asking the
+/// world directly.
+ScanResult reference_scan(const World& w, const Zmap6& zmap,
+                          std::span<const Ipv6> targets, Proto proto,
+                          ScanDate date) {
+  const Zmap6::Config& cfg = zmap.config();
+  ScanResult r;
+  r.proto = proto;
+  r.date = date;
+  r.targets = targets.size();
+  const CyclicPermutation perm(targets.size(),
+                               hash_combine(cfg.seed, proto_index(proto)));
+  const auto arc = perm.shard_arc(0, 1);
+  std::uint64_t cur = perm.cycle_element(arc.begin);
+  for (std::uint64_t j = arc.begin; j < arc.end;
+       ++j, cur = perm.cycle_advance(cur)) {
+    const std::uint64_t index = perm.cycle_value(cur);
+    if (index >= targets.size()) continue;
+    const Ipv6& t = targets[index];
+    if (cfg.blocklist != nullptr && cfg.blocklist->covers(t)) {
+      ++r.blocked;
+      continue;
+    }
+    bool answered = false;
+    for (int attempt = 0; attempt <= cfg.retries && !answered; ++attempt) {
+      ++r.probes_sent;
+      const std::uint64_t h = hash_combine(
+          hash_of(t, cfg.seed),
+          (static_cast<std::uint64_t>(date.index) << 16) |
+              (static_cast<std::uint64_t>(proto_index(proto)) << 8) |
+              static_cast<std::uint64_t>(attempt));
+      if (cfg.loss > 0 && unit_from_hash(h) < cfg.loss) continue;
+      auto rec = zmap.probe_one(w, t, proto, date);
+      if (!rec) break;
+      r.responsive.push_back(std::move(*rec));
+      answered = true;
+    }
+  }
+  r.duration_seconds = scan_duration_seconds(r.probes_sent, cfg.pps);
+  return r;
+}
+
+TEST(Zmap6, MultiProtocolScanMatchesFiveScans) {
+  const auto world = build_test_world(77);
+  std::vector<KnownAddress> known;
+  world->enumerate_known(ScanDate{2}, known);
+  std::vector<Ipv6> targets;
+  for (const auto& k : known) targets.push_back(k.addr);
+  // Silent padding, and censored space whose UDP/53 probes draw GFW
+  // injections during an event (scan 35) even where no host answers.
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    targets.push_back(pfx("2600:3c00::/32").random_address(0xF111 + i));
+    targets.push_back(pfx("240e::/24").random_address(0x61 + i));
+  }
+  const PrefixSet blocklist(std::vector<Prefix>{pfx("2600:3c00::/34"),
+                                                pfx("240e:8000::/25")});
+  for (const int d : {2, 35}) {
+    const ScanDate date{d};
+    for (const int retries : {0, 1}) {
+      Zmap6::Config cfg{.seed = 3, .loss = 0.01, .retries = retries};
+      cfg.blocklist = &blocklist;
+      const Zmap6 sequential(cfg);
+      std::vector<ScanResult> want;
+      for (Proto p : kAllProtos)
+        want.push_back(reference_scan(*world, sequential, targets, p, date));
+      EXPECT_GT(want[proto_index(Proto::Udp53)].responsive.size(), 0u);
+      EXPECT_GT(want[proto_index(Proto::Icmp)].blocked, 0u);
+      for (const unsigned threads : {1u, 2u, 7u}) {
+        MetricsRegistry multi_metrics;
+        MetricsRegistry single_metrics;
+        Zmap6::Config c = cfg;
+        c.threads = threads;
+        c.metrics = &multi_metrics;
+        const Zmap6 multi(c);
+        c.metrics = &single_metrics;
+        const Zmap6 single(c);
+        const auto got = multi.scan(*world, targets, kAllProtoMask, date);
+        ASSERT_EQ(got.size(), kAllProtos.size());
+        for (Proto p : kAllProtos) {
+          SCOPED_TRACE(proto_name(p) + " date " + std::to_string(d) +
+                       " retries " + std::to_string(retries) + " threads " +
+                       std::to_string(threads));
+          const auto& ref = want[static_cast<std::size_t>(proto_index(p))];
+          expect_same_scan(got[static_cast<std::size_t>(proto_index(p))], ref);
+          expect_same_scan(single.scan(*world, targets, p, date), ref);
+          const std::string label = "{proto=" + proto_token(p) + "}";
+          for (const MetricsRegistry* reg : {&multi_metrics, &single_metrics}) {
+            const auto snap = reg->snapshot();
+            EXPECT_EQ(snap.counter_value("scanner.probes_sent" + label),
+                      ref.probes_sent);
+            EXPECT_EQ(snap.counter_value("scanner.answered" + label),
+                      ref.responsive.size());
+            EXPECT_EQ(snap.counter_value("scanner.blocked" + label),
+                      ref.blocked);
+            EXPECT_EQ(snap.counter_value("scanner.scans" + label), 1u);
+          }
+        }
+      }
+      // A subset of the protocols yields just their results, in order.
+      const auto pair = sequential.scan(
+          *world, targets, proto_bit(Proto::Udp443) | proto_bit(Proto::Tcp80),
+          date);
+      ASSERT_EQ(pair.size(), 2u);
+      expect_same_scan(pair[0], want[proto_index(Proto::Tcp80)]);
+      expect_same_scan(pair[1], want[proto_index(Proto::Udp443)]);
     }
   }
 }

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <set>
 
+#include "core/parallel.hpp"
+#include "core/thread_pool.hpp"
 #include "netbase/hash.hpp"
 #include "topo/aliased_region.hpp"
 #include "topo/censored_network.hpp"
@@ -217,6 +221,175 @@ TEST(IspPool, MacFleetIsShared) {
   }
   EXPECT_LE(macs.size(), 40u);     // bounded by the fleet
   EXPECT_GT(addrs, macs.size() * 2);  // heavy reuse across prefixes
+}
+
+// ---------------------------------------------------- IspPool epoch tables
+
+/// The per-epoch set loop IspPool answered with before its activity
+/// columns: one set of active subnets per epoch, and for a subnet that is
+/// not active now, a walk over every earlier epoch's set.
+class EpochLoopReference {
+ public:
+  explicit EpochLoopReference(const IspPool::Config& cfg) : cfg_(cfg) {}
+
+  [[nodiscard]] std::set<std::uint32_t> active_set(int epoch) const {
+    const std::uint32_t mask = (std::uint32_t{1} << cfg_.subnet_bits) - 1;
+    std::set<std::uint32_t> set;
+    for (std::uint32_t j = 0; j < cfg_.active_per_scan; ++j)
+      set.insert(static_cast<std::uint32_t>(
+          hash_combine(hash_combine(cfg_.seed, 0xAC71F),
+                       (static_cast<std::uint64_t>(epoch) << 32) | j) &
+          mask));
+    return set;
+  }
+
+  /// Is subnet `s` live on `d`? `sets` caches active_set(0..epoch).
+  [[nodiscard]] bool live(std::uint32_t s, ScanDate d,
+                          std::vector<std::set<std::uint32_t>>& sets) const {
+    if (d.index < cfg_.appears) return false;
+    const int e = d.index / cfg_.rotation_scans;
+    while (static_cast<int>(sets.size()) <= e)
+      sets.push_back(active_set(static_cast<int>(sets.size())));
+    bool live = sets[static_cast<std::size_t>(e)].contains(s);
+    if (!live && cfg_.reactivation > 0 && e > 0) {
+      for (int pe = 0; pe < e && !live; ++pe) {
+        if (!sets[static_cast<std::size_t>(pe)].contains(s)) continue;
+        live = unit_from_hash(hash_combine(
+                   hash_combine(cfg_.seed ^ 0x5EAC7, s),
+                   static_cast<std::uint64_t>(e))) < cfg_.reactivation;
+      }
+    }
+    return live;
+  }
+
+ private:
+  IspPool::Config cfg_;
+};
+
+/// A pool whose small subnet space makes epochs overlap, so subnets are
+/// re-drawn and reactivated often.
+IspPool::Config churny_pool(double reactivation) {
+  IspPool::Config cfg = small_pool();
+  cfg.subnet_bits = 9;
+  cfg.active_per_scan = 24;
+  cfg.rotation_scans = 1;
+  cfg.reactivation = reactivation;
+  return cfg;
+}
+
+constexpr int kTableEpochs = 71;  // epochs 0..70
+
+/// Liveness of every subnet of the pool's space on every date, from the
+/// reference loop, at date * subnets + subnet.
+std::vector<std::uint8_t> reference_liveness(const IspPool::Config& cfg) {
+  const EpochLoopReference ref(cfg);
+  std::vector<std::set<std::uint32_t>> sets;
+  const std::uint32_t subnets = std::uint32_t{1} << cfg.subnet_bits;
+  std::vector<std::uint8_t> live(kTableEpochs * subnets);
+  for (int d = 0; d < kTableEpochs; ++d)
+    for (std::uint32_t s = 0; s < subnets; ++s)
+      live[static_cast<std::size_t>(d) * subnets + s] =
+          ref.live(s, ScanDate{d}, sets) ? 1 : 0;
+  return live;
+}
+
+TEST(IspPoolTables, MatchEpochLoopReference) {
+  for (const double reactivation : {0.0, 0.3}) {
+    const IspPool::Config cfg = churny_pool(reactivation);
+    const auto want = reference_liveness(cfg);
+    const std::uint32_t subnets = std::uint32_t{1} << cfg.subnet_bits;
+    // Dates probed in reverse, then interleaved from both ends, each on a
+    // fresh pool: no table may depend on which epochs were built first.
+    std::vector<int> reverse(kTableEpochs);
+    for (int i = 0; i < kTableEpochs; ++i)
+      reverse[static_cast<std::size_t>(i)] = kTableEpochs - 1 - i;
+    std::vector<int> interleaved;
+    for (int lo = 0, hi = kTableEpochs - 1; lo <= hi; ++lo, --hi) {
+      interleaved.push_back(lo);
+      if (hi != lo) interleaved.push_back(hi);
+    }
+    for (const auto& order : {reverse, interleaved}) {
+      const IspPool pool(cfg);
+      std::size_t live = 0;
+      for (const int d : order) {
+        for (std::uint32_t s = 0; s < subnets; ++s) {
+          const bool got =
+              pool.host(pool.cpe_address(s), ScanDate{d}).has_value();
+          EXPECT_EQ(got, want[static_cast<std::size_t>(d) * subnets + s] != 0)
+              << "subnet " << s << " date " << d << " reactivation "
+              << reactivation;
+          live += got ? 1 : 0;
+        }
+      }
+      EXPECT_GT(live, 0u);
+    }
+    // The enumerated active CPEs are the reference's active set, in
+    // subnet order.
+    const IspPool pool(cfg);
+    const EpochLoopReference ref(cfg);
+    for (const int d : {0, 35, 70}) {
+      std::vector<KnownAddress> known;
+      pool.enumerate_known(ScanDate{d}, known);
+      const auto active = ref.active_set(d);
+      ASSERT_GE(known.size(), active.size());
+      std::size_t i = 0;
+      for (const std::uint32_t s : active)
+        EXPECT_EQ(known[i++].addr, pool.cpe_address(s)) << "date " << d;
+    }
+  }
+}
+
+TEST(IspPoolTables, FarEpochNeedsNoEarlierTables) {
+  // A date far past any timeline is answered on its own (the earlier
+  // epochs are drawn directly) and agrees with the reference loop.
+  const IspPool::Config cfg = churny_pool(0.3);
+  const EpochLoopReference ref(cfg);
+  std::vector<std::set<std::uint32_t>> sets;
+  const IspPool pool(cfg);
+  const std::uint32_t subnets = std::uint32_t{1} << cfg.subnet_bits;
+  for (const int d : {4000, 4001, 250}) {
+    std::size_t live = 0;
+    for (std::uint32_t s = 0; s < subnets; ++s) {
+      const bool got = pool.host(pool.cpe_address(s), ScanDate{d}).has_value();
+      EXPECT_EQ(got, ref.live(s, ScanDate{d}, sets)) << "subnet " << s;
+      live += got ? 1 : 0;
+    }
+    EXPECT_GT(live, 0u);
+  }
+}
+
+TEST(IspPoolTables, ConcurrentProbesMatchReference) {
+  // Eight threads build and read the epoch tables at once, each chunk
+  // walking the dates in its own order (the tsan-concurrency preset runs
+  // this test).
+  const IspPool::Config cfg = churny_pool(0.3);
+  const auto want = reference_liveness(cfg);
+  const std::uint32_t subnets = std::uint32_t{1} << cfg.subnet_bits;
+  const IspPool pool(cfg);
+  ThreadPool threads(8);
+  std::atomic<std::size_t> differ{0};
+  parallel_for(
+      &threads, subnets, 32,
+      [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+        std::size_t local = 0;
+        for (int k = 0; k < kTableEpochs; ++k) {
+          const int d =
+              chunk % 2 == 0
+                  ? kTableEpochs - 1 - k
+                  : static_cast<int>((chunk + 7 * static_cast<std::size_t>(k)) %
+                                     kTableEpochs);
+          for (std::size_t s = lo; s < hi; ++s) {
+            const bool got =
+                pool.host(pool.cpe_address(static_cast<std::uint32_t>(s)),
+                          ScanDate{d})
+                    .has_value();
+            if (got != (want[static_cast<std::size_t>(d) * subnets + s] != 0))
+              ++local;
+          }
+        }
+        differ.fetch_add(local, std::memory_order_relaxed);
+      });
+  EXPECT_EQ(differ.load(std::memory_order_relaxed), 0u);
 }
 
 // ------------------------------------------------------------- AliasedRegion
@@ -691,6 +864,56 @@ TEST(WorldPurity, SparseRegionAnswersDoNotDependOnProbeHistory) {
         fresh->probe(a, Proto::Icmp, ScanDate{0}))
       ++differ;
   EXPECT_EQ(differ, 0u) << "of " << targets.size();
+}
+
+TEST(WorldAnswers, MatchPerProtocolProbes) {
+  const auto world = build_test_world(29);
+  const DnsQuestion q{"www.google.com", RrType::AAAA};
+  std::size_t checked = 0;
+  std::array<std::size_t, kProtoCount> set_bits{};
+  for (int d = 0; d < 14; ++d) {
+    const ScanDate date{d};
+    // Known addresses (the answering population) plus random addresses in
+    // every deployment prefix (mostly silent, some aliased).
+    std::vector<KnownAddress> known;
+    world->enumerate_known(date, known);
+    std::vector<Ipv6> addrs;
+    for (std::size_t i = 0; i < known.size(); i += 3)
+      addrs.push_back(known[i].addr);
+    for (const auto& dep : world->deployments())
+      for (const auto& p : dep->prefixes())
+        for (std::uint64_t k = 0; k < 4; ++k)
+          addrs.push_back(p.random_address(
+              hash_combine(0xA45, k + 16 * static_cast<std::uint64_t>(d))));
+    for (const Ipv6& a : addrs) {
+      const ProtoMask m = world->answers(a, date);
+      ASSERT_EQ(mask_has(m, Proto::Icmp),
+                world->icmp_echo(a, IcmpEchoRequest{}, date).has_value())
+          << a.str() << " date " << d;
+      ASSERT_EQ(mask_has(m, Proto::Tcp80),
+                world->tcp_syn(a, 80, date).has_value());
+      ASSERT_EQ(mask_has(m, Proto::Tcp443),
+                world->tcp_syn(a, 443, date).has_value());
+      ASSERT_EQ(mask_has(m, Proto::Udp443),
+                world->quic_probe(a, date).has_value());
+      // UDP/53: the host's own answer, never a GFW injection.
+      const auto h = world->truth_host(a, date);
+      ASSERT_EQ(mask_has(m, Proto::Udp53),
+                h.has_value() && mask_has(h->responsive, Proto::Udp53));
+      if (!world->behind_gfw(a)) {
+        ASSERT_EQ(mask_has(m, Proto::Udp53),
+                  !world->dns_query(a, q, date).empty());
+      }
+      for (Proto p : kAllProtos)
+        if (mask_has(m, p))
+          ++set_bits[static_cast<std::size_t>(proto_index(p))];
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  for (Proto p : kAllProtos)
+    EXPECT_GT(set_bits[static_cast<std::size_t>(proto_index(p))], 0u)
+        << proto_name(p);
 }
 
 TEST_F(WorldTest, RibAndRegistryAreConsistent) {

@@ -30,9 +30,14 @@ usage: sixdust-loadgen [options]
                      (sixdust-loadgen/1); '-' = stdout
   --help
 
-exit status: 0 = clean run; 1 = dropped or incoherent responses; 2 =
-server unreachable.
+exit status: 0 = clean run; 1 = dropped or incoherent responses, a bad
+--connect/--mix value or an unwritable --json-out; 2 = usage error
+(unknown option); 3 = server unreachable.
 )";
+
+/// Exit status for a server that never accepted a connection (usage
+/// errors exit 2).
+constexpr int kExitUnreachable = 3;
 
 }  // namespace
 
@@ -72,7 +77,7 @@ int main(int argc, char** argv) {
   std::string error;
   if (!serve::run_loadgen(cfg, &report, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
+    return kExitUnreachable;
   }
   std::fputs(report.str().c_str(), stdout);
   if (json_out == "-") {

@@ -31,8 +31,13 @@ usage: sixdust-top [options]
   --raw              no screen clearing: append frames (CI / piping)
   --help
 
-exit status: 0 = clean; 2 = endpoint unreachable on the first poll.
+exit status: 0 = clean; 1 = bad --connect spec or unparsable /stats
+payload; 2 = usage error (unknown option); 3 = endpoint unreachable on the
+first poll.
 )";
+
+/// Exit status for an endpoint that never answered (usage errors exit 2).
+constexpr int kExitUnreachable = 3;
 
 struct OpRow {
   std::string name;
@@ -169,7 +174,7 @@ int main(int argc, char** argv) {
       if (!have_prev) {
         std::fprintf(stderr, "error: cannot fetch /stats from %s\n",
                      target->str().c_str());
-        return 2;
+        return kExitUnreachable;
       }
       // Transient failure mid-watch: keep trying at the poll cadence.
       std::this_thread::sleep_for(interval);
@@ -178,7 +183,7 @@ int main(int argc, char** argv) {
     Frame cur;
     if (!parse_frame(res->body, &cur)) {
       std::fprintf(stderr, "error: unparsable /stats payload\n");
-      return 2;
+      return 1;
     }
     render(cur, have_prev ? &prev : nullptr, raw);
     prev = std::move(cur);
