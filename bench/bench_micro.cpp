@@ -453,6 +453,54 @@ void BM_Zmap6AllProtos(benchmark::State& state) {
 }
 BENCHMARK(BM_Zmap6AllProtos)->Arg(1)->Arg(4)->UseRealTime();
 
+void BM_YarrpTrace(benchmark::State& state) {
+  // The service's traceroute phase: a 20k-target budget over the test
+  // world's known addresses plus silent padding; Arg is the pool size.
+  static auto world = build_test_world(8);
+  static const std::vector<Ipv6> targets = [] {
+    std::vector<KnownAddress> known;
+    world->enumerate_known(ScanDate{0}, known);
+    std::vector<Ipv6> t;
+    for (const auto& k : known) t.push_back(k.addr);
+    for (std::uint64_t i = 0; t.size() < (1u << 15); ++i)
+      t.push_back(pfx("2600:3c00::/32").random_address(0x7A2B + i));
+    return t;
+  }();
+  Yarrp yarrp(Yarrp::Config{.target_budget = 20000});
+  yarrp.set_pool(ThreadPool::create(static_cast<unsigned>(state.range(0))));
+  for (auto _ : state) {
+    auto r = yarrp.trace(*world, targets, ScanDate{3});
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          20000);
+}
+BENCHMARK(BM_YarrpTrace)->Arg(1)->Arg(4)->UseRealTime();
+
+void BM_InputDbAdd(benchmark::State& state) {
+  // A hit-heavy feed like the traceroute phase's: 2^17 adds of 2^14
+  // distinct addresses, each repeated about eight times in random order,
+  // into a fresh InputDb.
+  static const std::vector<Ipv6> feed = [] {
+    Rng rng(0x1DB);
+    std::vector<Ipv6> distinct;
+    for (std::uint64_t i = 0; i < (1u << 14); ++i)
+      distinct.push_back(pfx("240e::/24").random_address(rng.next()));
+    std::vector<Ipv6> f;
+    for (std::uint64_t i = 0; i < (1u << 17); ++i)
+      f.push_back(distinct[rng.next() % distinct.size()]);
+    return f;
+  }();
+  for (auto _ : state) {
+    InputDb db;
+    for (const Ipv6& a : feed) db.add(a, kSrcTraceroute, 0);
+    benchmark::DoNotOptimize(db.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(feed.size()));
+}
+BENCHMARK(BM_InputDbAdd);
+
 void BM_ParallelScanMetrics(benchmark::State& state) {
   // BM_ParallelScan with telemetry attached: the overhead is a handful of
   // striped relaxed fetch_adds per shard, so the two benchmarks should sit

@@ -1,9 +1,8 @@
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
-#include "netbase/hash.hpp"
+#include "netbase/addr_index.hpp"
 #include "netbase/prefix_set.hpp"
 #include "topo/behavior.hpp"
 
@@ -18,7 +17,7 @@ namespace sixdust {
 /// fields are written only by HitlistService::step and ServiceArchive::load.
 class InputDb {
  public:
-  static constexpr std::uint32_t kNoRow = UINT32_MAX;
+  static constexpr std::uint32_t kNoRow = AddrIndex::kNone;
 
   struct Meta {
     std::uint16_t tags = 0;
@@ -40,12 +39,11 @@ class InputDb {
            const PrefixSet* blocklist = nullptr);
 
   [[nodiscard]] bool contains(const Ipv6& a) const {
-    return rows_.contains(a);
+    return row(a) != kNoRow;
   }
   /// The address's row, or kNoRow when it was never added.
   [[nodiscard]] std::uint32_t row(const Ipv6& a) const {
-    auto it = rows_.find(a);
-    return it == rows_.end() ? kNoRow : it->second;
+    return rows_.find(order_, a);
   }
   [[nodiscard]] const Meta* find(const Ipv6& a) const {
     const std::uint32_t r = row(a);
@@ -61,8 +59,8 @@ class InputDb {
   [[nodiscard]] const std::vector<Ipv6>& addresses() const { return order_; }
 
  private:
-  std::unordered_map<Ipv6, std::uint32_t, Ipv6Hasher> rows_;
   std::vector<Ipv6> order_;
+  AddrIndex rows_;  // address -> row, keyed through order_
   std::vector<Meta> meta_;
   std::size_t blocked_count_ = 0;
 };

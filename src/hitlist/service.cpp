@@ -137,8 +137,13 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
         record_new_input(known.tags);
   }
 
+  // Phases 2, 4 and 6 carry volatile spans only: wall-clock attribution
+  // for profiling, with no stable .calls counter to shift the goldens.
   // 2. Exclusion + blocklist filters.
+  Span eligible_span = trace_span(metrics_, "service.phase.eligible",
+                                  SpanCat::kService, Stability::kVolatile);
   std::vector<Ipv6> targets = eligible_targets();
+  eligible_span.end();
 
   // 3. Multi-level aliased prefix detection (with 3-round history).
   PhaseTimer apd_timer(metrics_, "service.phase.apd");
@@ -152,7 +157,11 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   aliased_per_scan_.push_back(std::move(detection.aliased));
 
   // 4. Aliased-prefix filter.
+  Span alias_filter_span =
+      trace_span(metrics_, "service.phase.alias_filter", SpanCat::kService,
+                 Stability::kVolatile);
   std::erase_if(targets, [&](const Ipv6& a) { return aliased_.covers(a); });
+  alias_filter_span.end();
 
   // 5. ZMapv6 scans, one per protocol, plus the UDP/53 GFW stage.
   // Response masks by input row; every responsive record is a target.
@@ -197,6 +206,9 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   scan_timer.stop();
 
   // 6. 30-day-unresponsive filter bookkeeping and the history rows.
+  Span bookkeeping_span =
+      trace_span(metrics_, "service.phase.bookkeeping", SpanCat::kService,
+                 Stability::kVolatile);
   std::size_t newly_excluded = 0;
   for (const auto& a : targets) {
     const std::uint32_t row = input_.row(a);
@@ -211,6 +223,7 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
     }
   }
   std::sort(entry.responsive.begin(), entry.responsive.end());
+  bookkeeping_span.end();
 
   // 7. Yarrp traceroutes toward the (alias-filtered) targets; discovered
   // router addresses become next scan's input.

@@ -46,7 +46,8 @@ class CensoredNetwork final : public Deployment {
   /// a traceroute toward `target` during scan `d`. A fresh interface ID per
   /// (scan, target) — this feedback loop is what pumped 134 M addresses
   /// into the hitlist input.
-  [[nodiscard]] Ipv6 border_router(const Ipv6& target, ScanDate d) const;
+  [[nodiscard]] Ipv6 border_router(const Ipv6& target,
+                                   ScanDate d) const override;
 
   [[nodiscard]] const Config& config() const { return cfg_; }
 

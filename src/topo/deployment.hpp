@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "asdb/asn.hpp"
+#include "netbase/hash.hpp"
 #include "netbase/ipv6.hpp"
 #include "netbase/prefix.hpp"
 #include "netbase/util.hpp"
@@ -32,6 +33,16 @@ class Deployment {
   /// answers at that address.
   [[nodiscard]] virtual std::optional<HostBehavior> host(const Ipv6& a,
                                                          ScanDate d) const = 0;
+
+  /// Border-router address that a traceroute toward `target` observes as
+  /// the hop before it during scan `d`. By default one stable router per
+  /// /48, addressed inside the first announced prefix.
+  [[nodiscard]] virtual Ipv6 border_router(const Ipv6& target,
+                                           ScanDate d) const {
+    (void)d;
+    return prefixes().front().random_address(
+        hash_combine(hash_of(Prefix::mask(target, 48)), 0xB02D));
+  }
 
   /// Addresses visible in public data sources on `d` (DNS resolutions, CT
   /// logs, Atlas traceroutes, ...). Appends to `out`.

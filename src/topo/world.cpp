@@ -202,10 +202,10 @@ bool World::probe(const Ipv6& target, Proto p, ScanDate d) const {
   return false;
 }
 
-std::vector<World::Hop> World::path_to(const Ipv6& target, ScanDate d) const {
-  std::vector<Hop> hops;
+World::Path World::path_to(const Ipv6& target, ScanDate d) const {
+  Path path;
   // Hop 1: our campus gateway.
-  hops.push_back(Hop{kCampusGateway, true, kAsnNone});
+  path.push(Hop{kCampusGateway, true});
 
   // Transit: one or two backbone routers, chosen per target region so that
   // paths are stable but diverse.
@@ -214,31 +214,16 @@ std::vector<World::Hop> World::path_to(const Ipv6& target, ScanDate d) const {
     const auto& t = transits_[(th + i) % transits_.size()];
     const std::uint32_t r =
         static_cast<std::uint32_t>(hash_combine(th, i) % t.router_count);
-    hops.push_back(
-        Hop{t.router_prefix.random_address(hash_combine(0x207, r)), true, t.asn});
+    path.push(Hop{t.router_prefix.random_address(hash_combine(0x207, r)), true});
   }
 
-  // Border router of the destination network.
+  // Border router of the destination network, then the target itself.
   const Deployment* dep = deployment_of(target);
-  if (dep != nullptr) {
-    if (const auto* cn = dynamic_cast<const CensoredNetwork*>(dep)) {
-      // Rotating last-hop addresses: fresh interface ID per (target, scan).
-      hops.push_back(Hop{cn->border_router(target, d), true, dep->asn()});
-    } else {
-      const Prefix& p0 = dep->prefixes().front();
-      const std::uint64_t bh =
-          hash_combine(hash_of(Prefix::mask(target, 48)), 0xB02D);
-      hops.push_back(Hop{p0.random_address(bh), true, dep->asn()});
-    }
-  }
-
-  // The target itself.
+  if (dep != nullptr) path.push(Hop{dep->border_router(target, d), true});
   const auto h =
       dep != nullptr ? dep->host(target, d) : std::optional<HostBehavior>{};
-  const bool reachable = h && mask_has(h->responsive, Proto::Icmp);
-  hops.push_back(Hop{target, reachable,
-                     rib_.origin(target).value_or(kAsnNone)});
-  return hops;
+  path.push(Hop{target, h && mask_has(h->responsive, Proto::Icmp)});
+  return path;
 }
 
 void World::enumerate_known(ScanDate d, std::vector<KnownAddress>& out) const {

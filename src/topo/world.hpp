@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -14,7 +16,6 @@
 #include "netbase/frozen_lpm.hpp"
 #include "proto/icmp6.hpp"
 #include "proto/quic.hpp"
-#include "topo/censored_network.hpp"
 #include "topo/deployment.hpp"
 #include "topo/gfw.hpp"
 
@@ -54,8 +55,8 @@ namespace sixdust {
 /// with probes.
 class World {
  public:
+  /// A transit network's routers (the RIB maps the prefix to its AS).
   struct TransitAs {
-    Asn asn = kAsnNone;
     Prefix router_prefix;
     std::uint32_t router_count = 64;
   };
@@ -103,12 +104,30 @@ class World {
   struct Hop {
     Ipv6 addr;
     bool responds = false;
-    Asn asn = kAsnNone;
+  };
+
+  /// A router-level path: the campus gateway, up to two transit routers,
+  /// the destination's border router and the target, so at most kMaxHops
+  /// entries, held inline.
+  class Path {
+   public:
+    static constexpr std::size_t kMaxHops = 5;
+
+    void push(const Hop& h) { hops_[size_++] = h; }
+    [[nodiscard]] std::span<const Hop> hops() const& {
+      return {hops_.data(), size_};
+    }
+    // A span into a temporary path would dangle.
+    std::span<const Hop> hops() const&& = delete;
+
+   private:
+    std::array<Hop, kMaxHops> hops_{};
+    std::size_t size_ = 0;
   };
 
   /// Router-level path from the vantage point toward `target`. The final
   /// entry is the target itself (responds == reachable via ICMP).
-  [[nodiscard]] std::vector<Hop> path_to(const Ipv6& target, ScanDate d) const;
+  [[nodiscard]] Path path_to(const Ipv6& target, ScanDate d) const;
 
   /// Addresses visible in public data sources on `d` (all deployments).
   void enumerate_known(ScanDate d, std::vector<KnownAddress>& out) const;

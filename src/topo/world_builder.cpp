@@ -4,6 +4,7 @@
 
 #include "netbase/hash.hpp"
 #include "topo/aliased_region.hpp"
+#include "topo/censored_network.hpp"
 #include "topo/isp_pool.hpp"
 #include "topo/server_farm.hpp"
 
@@ -529,7 +530,7 @@ struct Builder {
 
   void add_transits() {
     transits.push_back(
-        World::TransitAs{kAsLevel3, pfx("2001:1900::/32"), sc(cfg.scale, 64)});
+        World::TransitAs{pfx("2001:1900::/32"), sc(cfg.scale, 64)});
     routes.push_back({pfx("2001:1900::/32"), kAsLevel3});
   }
 

@@ -1,8 +1,7 @@
 #include "traceroute/yarrp.hpp"
 
-#include <unordered_set>
-
 #include "core/parallel.hpp"
+#include "netbase/addr_index.hpp"
 #include "obs/trace.hpp"
 #include "scanner/cyclic.hpp"
 
@@ -29,30 +28,31 @@ void Yarrp::record_run(const TraceResult& r) const {
 
 void Yarrp::trace_slice(const World& world, std::span<const Ipv6> sample,
                         ScanDate date, TraceResult& out) const {
-  std::unordered_set<Ipv6, Ipv6Hasher> seen;
+  AddrIndex seen;  // over out.responsive_hops
   for (const Ipv6& t : sample) {
     ++out.targets_traced;
-    const auto path = world.path_to(t, date);
+    const World::Path path = world.path_to(t, date);
+    const std::span<const World::Hop> hops = path.hops();
 
     // Yarrp sends one probe per TTL in randomized order; we account for
     // the probes and collect the responsive hops.
     out.probes_sent += static_cast<std::uint64_t>(
-        path.size() < static_cast<std::size_t>(cfg_.max_ttl)
-            ? path.size()
+        hops.size() < static_cast<std::size_t>(cfg_.max_ttl)
+            ? hops.size()
             : static_cast<std::size_t>(cfg_.max_ttl));
 
     const World::Hop* last_responsive = nullptr;
     bool target_responded = false;
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      const auto& hop = path[i];
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      const auto& hop = hops[i];
       if (!hop.responds) continue;
-      const bool is_target = i + 1 == path.size();
+      const bool is_target = i + 1 == hops.size();
       if (is_target) {
         target_responded = true;
       } else {
         last_responsive = &hop;
       }
-      if (seen.insert(hop.addr).second) out.responsive_hops.push_back(hop.addr);
+      seen.insert(out.responsive_hops, hop.addr);
     }
     if (!target_responded && last_responsive != nullptr)
       out.last_hops_unreachable.push_back(last_responsive->addr);
@@ -80,9 +80,9 @@ Yarrp::TraceResult Yarrp::trace(const World& world,
     trace_slice(world, sample, date, result);
   } else {
     // Each slice dedups its own hops in first-seen order; merging the
-    // slices in slice order with a global first-seen dedup reconstructs
-    // the sequential discovery order exactly (a hop's first occurrence
-    // lives in the earliest slice that saw it).
+    // slice columns in slice order through one more index over the result
+    // column reconstructs the sequential discovery order exactly (a hop's
+    // first occurrence lives in the earliest slice that saw it).
     auto parts = ordered_map<TraceResult>(pool, chunks, [&](std::size_t c) {
       const auto [lo, hi] = chunk_range(count, chunks, c);
       TraceResult local;
@@ -91,12 +91,17 @@ Yarrp::TraceResult Yarrp::trace(const World& world,
                   local);
       return local;
     });
-    std::unordered_set<Ipv6, Ipv6Hasher> seen;
+    std::size_t hops_bound = 0;
+    for (const TraceResult& part : parts)
+      hops_bound += part.responsive_hops.size();
+    result.responsive_hops.reserve(hops_bound);
+    AddrIndex seen;  // over result.responsive_hops
+    seen.reserve(result.responsive_hops, hops_bound);
     for (TraceResult& part : parts) {
       result.targets_traced += part.targets_traced;
       result.probes_sent += part.probes_sent;
       for (const Ipv6& hop : part.responsive_hops)
-        if (seen.insert(hop).second) result.responsive_hops.push_back(hop);
+        seen.insert(result.responsive_hops, hop);
       result.last_hops_unreachable.insert(
           result.last_hops_unreachable.end(),
           part.last_hops_unreachable.begin(),

@@ -58,7 +58,7 @@ class Yarrp {
                                   ScanDate date) const;
 
  private:
-  /// Trace `sample` in order, appending to `out` and deduplicating hops
+  /// Trace `sample` in order into an empty `out`, deduplicating hops
   /// against out.responsive_hops only (local first-seen order).
   void trace_slice(const World& world, std::span<const Ipv6> sample,
                    ScanDate date, TraceResult& out) const;

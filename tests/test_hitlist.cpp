@@ -6,10 +6,12 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "hitlist/discovery.hpp"
 #include "hitlist/service.hpp"
+#include "netbase/rng.hpp"
 #include "serve/snapshot.hpp"
 #include "topo/world_builder.hpp"
 
@@ -28,6 +30,84 @@ TEST(InputDb, AccumulatesWithTagsAndFirstSeen) {
   EXPECT_EQ(meta->tags, kSrcDnsAaaa | kSrcTraceroute);
   EXPECT_EQ(db.addresses()[0], ip("2001:db8::1"));
   EXPECT_FALSE(db.contains(ip("2001:db8::3")));
+  EXPECT_EQ(db.row(ip("2001:db8::3")), InputDb::kNoRow);
+}
+
+// Adds `addrs` to an InputDb and to a std::unordered_map reference (row by
+// first insertion, tags ORed) and checks add/row/contains/find against it,
+// plus `absent` addresses that were never added.
+void expect_input_db_matches_reference(const std::vector<Ipv6>& addrs,
+                                       const std::vector<Ipv6>& absent) {
+  InputDb db;
+  std::unordered_map<Ipv6, std::uint32_t, Ipv6Hasher> rows;
+  std::unordered_map<Ipv6, std::uint16_t, Ipv6Hasher> tags;
+  for (std::size_t k = 0; k < addrs.size(); ++k) {
+    const Ipv6& a = addrs[k];
+    const auto tag = static_cast<std::uint16_t>(1u << (k % 8));
+    const bool fresh =
+        rows.try_emplace(a, static_cast<std::uint32_t>(rows.size())).second;
+    tags[a] |= tag;
+    ASSERT_EQ(db.add(a, tag, static_cast<int>(k)), fresh) << k;
+    ASSERT_EQ(db.size(), rows.size());
+  }
+  for (const Ipv6& a : addrs) {
+    const std::uint32_t r = db.row(a);
+    ASSERT_EQ(r, rows.at(a)) << a.str();
+    EXPECT_TRUE(db.contains(a));
+    EXPECT_EQ(db.addresses()[r], a);
+    EXPECT_EQ(db.meta(r).tags, tags.at(a));
+    EXPECT_EQ(db.find(a), &db.meta(r));
+  }
+  for (const Ipv6& a : absent) {
+    ASSERT_FALSE(rows.contains(a));
+    EXPECT_EQ(db.row(a), InputDb::kNoRow);
+    EXPECT_FALSE(db.contains(a));
+    EXPECT_EQ(db.find(a), nullptr);
+  }
+}
+
+TEST(InputDb, MatchesMapReferenceAcrossGrowthPoints) {
+  // The row index doubles when a row would take it past half full: sizes
+  // around 1024 rows cross one doubling. Each address is added twice.
+  for (const std::size_t n : {0u, 1u, 1023u, 1024u, 1025u}) {
+    SCOPED_TRACE(n);
+    std::vector<Ipv6> addrs;
+    for (std::size_t i = 0; i < n; ++i)
+      addrs.push_back(pfx("2001:db8::/32").random_address(0x1DB + i));
+    for (std::size_t i = 0; i < n; ++i) addrs.push_back(addrs[i]);
+    std::vector<Ipv6> absent;
+    for (std::size_t i = 0; i < 64; ++i)
+      absent.push_back(pfx("2001:db9::/32").random_address(i));
+    expect_input_db_matches_reference(addrs, absent);
+  }
+}
+
+TEST(InputDb, MatchesMapReferenceOnRandomAndCollidingAddresses) {
+  Rng rng(0xADD1);
+  std::vector<Ipv6> addrs;
+  for (std::size_t i = 0; i < 100000; ++i) {
+    // One in eight draws repeats an earlier address.
+    if (i % 8 == 7) {
+      addrs.push_back(addrs[rng.next() % addrs.size()]);
+    } else {
+      addrs.push_back(Ipv6::from_words(rng.next(), rng.next()));
+    }
+  }
+  // Addresses that share their low 64 bits, or differ in one bit only.
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    addrs.push_back(Ipv6::from_words(0x20010db800000000ULL + (i << 16), 1));
+    addrs.push_back(Ipv6::from_words(0x20010db8ffff0000ULL,
+                                     std::uint64_t{1} << (i % 64)));
+  }
+  // Addresses whose hashes agree in their low 16 bits: one probe chain at
+  // every table size up to 2^16 slots, wrapping at the table's end.
+  std::vector<Ipv6> absent;
+  for (std::uint64_t i = 0, found = 0; found < 96; ++i) {
+    const Ipv6 a = Ipv6::from_words(0x2a00000000000000ULL, i);
+    if ((hash_of(a) & 0xFFFF) != 0xFFFF) continue;
+    (found++ % 3 == 0 ? absent : addrs).push_back(a);
+  }
+  expect_input_db_matches_reference(addrs, absent);
 }
 
 History::Entry entry_of(int scan,

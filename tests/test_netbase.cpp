@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 
+#include "netbase/addr_index.hpp"
 #include "netbase/eui64.hpp"
 #include "netbase/frozen_lpm.hpp"
 #include "netbase/hash.hpp"
@@ -211,6 +212,30 @@ Prefix ref_subprefix(const Prefix& p, unsigned i, int extra) {
 /// A pseudo-random full address; the prefixes under test are cut from it.
 Ipv6 kernel_address(std::uint64_t k) {
   return Ipv6::from_words(mix64(k ^ 0xadd2), mix64(k ^ 0x5eed));
+}
+
+TEST(AddrIndex, KeysThroughTheCallersColumn) {
+  AddrIndex index;
+  std::vector<Ipv6> column;
+  EXPECT_EQ(index.find(column, ip("2001:db8::1")), AddrIndex::kNone);
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    const Ipv6 a = Ipv6::from_words(0x20010db800000000ULL, i);
+    EXPECT_EQ(index.insert(column, a), std::make_pair(i, true));
+    EXPECT_EQ(index.insert(column, a), std::make_pair(i, false));
+  }
+  // Only new addresses are appended, in insertion order.
+  ASSERT_EQ(column.size(), 100u);
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(column[i], Ipv6::from_words(0x20010db800000000ULL, i));
+    EXPECT_EQ(index.find(column, column[i]), i);
+  }
+  EXPECT_EQ(index.find(column, ip("2001:db8::1:0")), AddrIndex::kNone);
+  // Reserving re-places the existing positions.
+  index.reserve(column, 5000);
+  for (std::uint32_t i = 0; i < 100; ++i)
+    EXPECT_EQ(index.find(column, column[i]), i);
+  EXPECT_EQ(index.insert(column, ip("2001:db8::1:0")),
+            std::make_pair(std::uint32_t{100}, true));
 }
 
 TEST(AddressKernels, BitReverseMatchesPerBitLoop) {

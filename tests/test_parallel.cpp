@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "alias/apd.hpp"
@@ -21,6 +25,7 @@
 #include "scanner/cyclic.hpp"
 #include "scanner/rate_limit.hpp"
 #include "scanner/zmap6.hpp"
+#include "topo/censored_network.hpp"
 #include "topo/world_builder.hpp"
 #include "traceroute/yarrp.hpp"
 
@@ -398,6 +403,145 @@ TEST_F(ParallelScanTest, YarrpTraceIsThreadCountInvariant) {
     EXPECT_EQ(out.last_hops_unreachable, base.last_hops_unreachable);
     EXPECT_EQ(out.targets_traced, base.targets_traced);
     EXPECT_EQ(out.probes_sent, base.probes_sent);
+  }
+}
+
+// The path toward `t` as a std::vector, checking the border hop against the
+// rule World::path_to used before Deployment::border_router: a censored
+// network's rotating router, else one router per /48 in the first prefix.
+std::vector<World::Hop> reference_path(const World& world, const Ipv6& t,
+                                       ScanDate d) {
+  const World::Path path = world.path_to(t, d);
+  std::vector<World::Hop> hops(path.hops().begin(), path.hops().end());
+  if (const Deployment* dep = world.deployment_of(t)) {
+    const auto* cn = dynamic_cast<const CensoredNetwork*>(dep);
+    const Ipv6 border =
+        cn != nullptr ? cn->border_router(t, d)
+                      : dep->prefixes().front().random_address(hash_combine(
+                            hash_of(Prefix::mask(t, 48)), 0xB02D));
+    EXPECT_GE(hops.size(), 2u);
+    EXPECT_EQ(hops[hops.size() - 2].addr, border) << t.str();
+  }
+  return hops;
+}
+
+// The budget-limited sample Yarrp traces, in permuted order.
+std::vector<Ipv6> reference_sample(std::span<const Ipv6> targets, ScanDate date,
+                                   const Yarrp::Config& cfg) {
+  CyclicPermutation perm(targets.empty() ? 1 : targets.size(),
+                         hash_combine(cfg.seed, date.index));
+  const std::size_t count = std::min(targets.size(), cfg.target_budget);
+  std::vector<Ipv6> sample;
+  for (std::size_t k = 0; k < count; ++k) sample.push_back(targets[perm.next()]);
+  return sample;
+}
+
+// Yarrp::trace before AddrIndex, kept as the reference: the same sample,
+// split into `chunks` slices that each dedup through an unordered_set in
+// first-seen order, then merged in slice order through another one.
+Yarrp::TraceResult reference_trace(const World& world,
+                                   std::span<const Ipv6> targets,
+                                   ScanDate date, const Yarrp::Config& cfg,
+                                   std::size_t chunks) {
+  const std::vector<Ipv6> sample = reference_sample(targets, date, cfg);
+  const std::size_t count = sample.size();
+  Yarrp::TraceResult result;
+  std::unordered_set<Ipv6, Ipv6Hasher> merged;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const auto [lo, hi] = chunk_range(count, chunks, c);
+    Yarrp::TraceResult part;
+    std::unordered_set<Ipv6, Ipv6Hasher> seen;
+    for (std::size_t k = lo; k < hi; ++k) {
+      ++part.targets_traced;
+      const auto path = reference_path(world, sample[k], date);
+      part.probes_sent += std::min(path.size(),
+                                   static_cast<std::size_t>(cfg.max_ttl));
+      const World::Hop* last_responsive = nullptr;
+      bool target_responded = false;
+      for (std::size_t i = 0; i < path.size(); ++i) {
+        if (!path[i].responds) continue;
+        if (i + 1 == path.size()) {
+          target_responded = true;
+        } else {
+          last_responsive = &path[i];
+        }
+        if (seen.insert(path[i].addr).second)
+          part.responsive_hops.push_back(path[i].addr);
+      }
+      if (!target_responded && last_responsive != nullptr)
+        part.last_hops_unreachable.push_back(last_responsive->addr);
+    }
+    result.targets_traced += part.targets_traced;
+    result.probes_sent += part.probes_sent;
+    for (const Ipv6& hop : part.responsive_hops)
+      if (merged.insert(hop).second) result.responsive_hops.push_back(hop);
+    result.last_hops_unreachable.insert(result.last_hops_unreachable.end(),
+                                        part.last_hops_unreachable.begin(),
+                                        part.last_hops_unreachable.end());
+  }
+  return result;
+}
+
+TEST_F(ParallelScanTest, YarrpMatchesNaiveReference) {
+  // Input 2: every target twice, so the permuted sample holds pairs that
+  // land in different slices.
+  std::vector<Ipv6> duplicated(targets_.begin(), targets_.begin() + 1024);
+  duplicated.insert(duplicated.end(), targets_.begin(), targets_.begin() + 1024);
+  {
+    const auto sample = reference_sample(duplicated, ScanDate{1},
+                                         Yarrp::Config{.target_budget = 5000});
+    std::unordered_map<Ipv6, std::size_t, Ipv6Hasher> first_slice;
+    std::size_t straddling = 0;
+    for (std::size_t c = 0; c < 7; ++c) {
+      const auto [lo, hi] = chunk_range(sample.size(), 7, c);
+      for (std::size_t k = lo; k < hi; ++k) {
+        const auto [it, fresh] = first_slice.try_emplace(sample[k], c);
+        if (!fresh && it->second != c) ++straddling;
+      }
+    }
+    EXPECT_GT(straddling, 100u);
+  }
+  // Input 3: targets interleaved with router hops seen on their paths (the
+  // campus gateway, transit and border routers, censored networks' rotating
+  // routers), so a router is traced as a target after, or before, it was
+  // discovered as a hop.
+  std::vector<Ipv6> routers_as_targets;
+  for (const Ipv6& t : targets_) {
+    routers_as_targets.push_back(t);
+    const World::Path path = world_->path_to(t, ScanDate{1});
+    const auto hops = path.hops();
+    if (hops.size() >= 2) routers_as_targets.push_back(hops[hops.size() - 2].addr);
+    routers_as_targets.push_back(hops.front().addr);
+  }
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const Ipv6 censored = pfx("240e::/24").random_address(0xC3 + i);
+    routers_as_targets.push_back(censored);
+    const World::Path path = world_->path_to(censored, ScanDate{1});
+    routers_as_targets.push_back(path.hops()[path.hops().size() - 2].addr);
+  }
+
+  const std::vector<std::pair<const char*, std::span<const Ipv6>>> inputs = {
+      {"fixture", targets_},
+      {"duplicated", duplicated},
+      {"routers_as_targets", routers_as_targets}};
+  for (const auto& [label, input] : inputs) {
+    for (unsigned threads : {1u, 2u, 7u}) {
+      const Yarrp::Config cfg{.target_budget = 5000, .threads = threads};
+      const auto got = Yarrp(cfg).trace(*world_, input, ScanDate{1});
+      const std::size_t chunks = threads == 1 ? 1 : threads;
+      for (const std::size_t ref_chunks : {std::size_t{1}, chunks}) {
+        SCOPED_TRACE(std::string(label) + " threads " +
+                     std::to_string(threads) + " reference chunks " +
+                     std::to_string(ref_chunks));
+        const auto want =
+            reference_trace(*world_, input, ScanDate{1}, cfg, ref_chunks);
+        EXPECT_GT(want.responsive_hops.size(), 0u);
+        EXPECT_EQ(got.responsive_hops, want.responsive_hops);
+        EXPECT_EQ(got.last_hops_unreachable, want.last_hops_unreachable);
+        EXPECT_EQ(got.targets_traced, want.targets_traced);
+        EXPECT_EQ(got.probes_sent, want.probes_sent);
+      }
+    }
   }
 }
 

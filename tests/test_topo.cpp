@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <set>
+#include <span>
 
 #include "core/parallel.hpp"
 #include "core/thread_pool.hpp"
@@ -811,8 +812,10 @@ TEST_F(WorldTest, WrongIpv4sBelongToUnrelatedOperators) {
 
 TEST_F(WorldTest, PathEndsAtTargetAndLeaksCensoredRouters) {
   const Ipv6 target = censored_target(*world_);
-  const auto path0 = world_->path_to(target, ScanDate{0});
+  const World::Path p0 = world_->path_to(target, ScanDate{0});
+  const std::span<const World::Hop> path0 = p0.hops();
   ASSERT_GE(path0.size(), 3u);
+  ASSERT_LE(path0.size(), World::Path::kMaxHops);
   EXPECT_EQ(path0.back().addr, target);
   EXPECT_FALSE(path0.back().responds);  // no host at this address
   // The last responsive hop sits inside the censored network...
@@ -820,7 +823,8 @@ TEST_F(WorldTest, PathEndsAtTargetAndLeaksCensoredRouters) {
   EXPECT_TRUE(border.responds);
   EXPECT_TRUE(pfx("240e::/24").contains(border.addr));
   // ...and rotates between scans.
-  const auto path1 = world_->path_to(target, ScanDate{1});
+  const World::Path p1 = world_->path_to(target, ScanDate{1});
+  const std::span<const World::Hop> path1 = p1.hops();
   EXPECT_NE(path1[path1.size() - 2].addr, border.addr);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -282,6 +283,43 @@ TEST(TraceThreadInvariance, TracedRunKeepsStableMetricsUnchanged) {
     return service.metrics().snapshot().to_json(/*include_volatile=*/false);
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+TEST(TraceServicePhases, StepEmitsVolatileEligibleAliasFilterBookkeeping) {
+  // The three untimed service phases carry volatile spans only, so the
+  // stable stream and the stable metrics stay as they were (the goldens
+  // below pin both on the 12-scan world).
+  const auto world = build_test_world(7);
+  constexpr int kScans = 3;
+  TraceRecorder rec;
+  HitlistService::Config cfg;
+  cfg.tracer = &rec;
+  HitlistService service(cfg);
+  service.run(*world, kScans);
+  const auto spans = rec.collect();
+  // Each nests in its step's service.phase.step span.
+  std::vector<std::uint64_t> steps;
+  for (const auto& s : spans)
+    if (s.name == "service.phase.step") steps.push_back(s.id);
+  ASSERT_EQ(steps.size(), static_cast<std::size_t>(kScans));
+  for (const std::string_view name :
+       {"service.phase.eligible", "service.phase.alias_filter",
+        "service.phase.bookkeeping"}) {
+    SCOPED_TRACE(name);
+    int seen = 0;
+    for (const auto& s : spans) {
+      if (s.name != name) continue;
+      ++seen;
+      EXPECT_EQ(s.stability, Stability::kVolatile);
+      EXPECT_EQ(s.cat, SpanCat::kService);
+      EXPECT_NE(std::find(steps.begin(), steps.end(), s.parent), steps.end());
+    }
+    EXPECT_EQ(seen, kScans);
+    EXPECT_EQ(rec.stable_stream().find(name), std::string::npos);
+    EXPECT_EQ(service.metrics().snapshot().to_json(/*include_volatile=*/true)
+                  .find(name),
+              std::string::npos);
+  }
 }
 
 #ifndef SIXDUST_SOURCE_DIR
