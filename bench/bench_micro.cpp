@@ -477,6 +477,37 @@ void BM_YarrpTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_YarrpTrace)->Arg(1)->Arg(4)->UseRealTime();
 
+void BM_HitlistTimelineDense(benchmark::State& state) {
+  // The whole service on the 46-scan test-world timeline (perfbench's
+  // timeline-dense shape): APD candidate enumeration, the alias filter and
+  // bookkeeping run on the sorted eligible column here. Each iteration
+  // steps a new service over a fresh world (built untimed); Arg is the
+  // thread count.
+  const auto threads = static_cast<unsigned>(state.range(0));
+  std::size_t targets = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = build_world(
+        WorldConfig{.seed = 7, .scale = 0.1, .tail_as_count = 200});
+    state.ResumeTiming();
+    HitlistService::Config cfg;
+    cfg.threads = threads;
+    HitlistService svc(cfg);
+    for (int i = 0; i < 46; ++i)
+      targets += svc.step(*world, ScanDate{i}).scan_targets;
+    state.PauseTiming();
+    world.reset();
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(targets);
+  state.SetItemsProcessed(static_cast<std::int64_t>(targets));
+}
+BENCHMARK(BM_HitlistTimelineDense)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_InputDbAdd(benchmark::State& state) {
   // A hit-heavy feed like the traceroute phase's: 2^17 adds of 2^14
   // distinct addresses, each repeated about eight times in random order,

@@ -1,6 +1,7 @@
 #include "alias/apd.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/parallel.hpp"
 #include "netbase/addr_batch.hpp"
@@ -15,34 +16,62 @@ std::vector<Prefix> AliasDetector::candidates(const Rib& rib,
   // Sorted distinct addresses: each run of equal hi words is one rule-(b)
   // /64, and inside a /64 each run of equal lo >> (128 - len) is one
   // prefix of length len. Rule (c) — prefixes longer than /64 with >= 100
-  // addresses — can only trigger inside a /64 run that long.
-  AddrBatch batch(input);
-  batch.sort_unique();
-  const auto hi = batch.hi();
-  const auto lo = batch.lo();
+  // addresses — can only trigger inside a /64 run that long. Strictly
+  // ascending input (the service's sorted eligible column) is read in
+  // place; anything else is sorted into a copy first.
+  std::span<const Ipv6> addrs = input;
+  std::vector<Ipv6> sorted;
+  if (std::adjacent_find(input.begin(), input.end(),
+                         std::greater_equal<>()) != input.end()) {
+    sorted.assign(input.begin(), input.end());
+    radix_dedup(sorted);
+    addrs = sorted;
+  }
   const std::size_t min_addrs = cfg.long_prefix_min_addrs;
 
+  // Rules (b) and (c) in (base, len) order: a /64 sorts before every
+  // longer prefix inside it, and each /64's rule-(c) run (emitted length
+  // by length) is sorted on its own before the next /64 starts.
   std::vector<Prefix> out;
-  for (std::size_t i = 0, end = 0; i < hi.size(); i = end) {
+  for (std::size_t i = 0, end = 0; i < addrs.size(); i = end) {
+    const std::uint64_t hi = addrs[i].hi();
     end = i + 1;
-    while (end < hi.size() && hi[end] == hi[i]) ++end;
-    out.push_back(Prefix::make(Ipv6::from_words(hi[i], 0), 64));
+    while (end < addrs.size() && addrs[end].hi() == hi) ++end;
+    out.push_back(Prefix::make(Ipv6::from_words(hi, 0), 64));
     if (end - i < min_addrs) continue;
+    const std::size_t run = out.size();
     for (int len = 68; len <= cfg.max_len; len += 4) {
       const int shift = 128 - len;
       for (std::size_t j = i, next = i; j < end; j = next) {
         next = j + 1;
-        while (next < end && (lo[next] >> shift) == (lo[j] >> shift)) ++next;
+        const std::uint64_t key = addrs[j].lo() >> shift;
+        while (next < end && (addrs[next].lo() >> shift) == key) ++next;
         if (next - j >= min_addrs)
-          out.push_back(Prefix::make(Ipv6::from_words(hi[i], lo[j]), len));
+          out.push_back(Prefix::make(Ipv6::from_words(hi, addrs[j].lo()), len));
       }
     }
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(run), out.end());
   }
 
-  // Rule (a): BGP prefixes.
-  for (const auto& r : rib.routes()) out.push_back(r.prefix);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  // Rule (a): BGP prefixes, already sorted and unique — merged in place
+  // from the back. A prefix both announced and enumerated is kept once,
+  // which leaves a gap after the untouched front of `out`.
+  const std::vector<Prefix>& bgp = rib.prefixes();
+  std::size_t i = out.size();
+  std::size_t j = bgp.size();
+  std::size_t k = i + j;
+  out.resize(k);
+  while (j > 0) {
+    --k;
+    if (i > 0 && bgp[j - 1] < out[i - 1]) {
+      out[k] = out[--i];
+      continue;
+    }
+    if (i > 0 && out[i - 1] == bgp[j - 1]) --i;
+    out[k] = bgp[--j];
+  }
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(i),
+            out.begin() + static_cast<std::ptrdiff_t>(k));
   return out;
 }
 

@@ -58,6 +58,8 @@ class AliasDetector {
 
   /// Candidate prefixes per the three rules above, sorted and unique. Each
   /// distinct input address counts once towards rule (c)'s threshold.
+  /// Strictly ascending input (the service's sorted eligible column) is
+  /// read in place, with no copy and no sort.
   [[nodiscard]] static std::vector<Prefix> candidates(
       const Rib& rib, std::span<const Ipv6> input, const Config& cfg);
 

@@ -34,6 +34,10 @@ class Rib {
   [[nodiscard]] std::optional<Route> route(const Ipv6& a) const;
 
   [[nodiscard]] const std::vector<Route>& routes() const { return routes_; }
+  /// The distinct announced prefixes in lexicographic (base, len) order.
+  [[nodiscard]] const std::vector<Prefix>& prefixes() const {
+    return lpm_.prefixes();
+  }
   [[nodiscard]] std::size_t prefix_count() const { return routes_.size(); }
 
   /// Number of distinct origin ASes.

@@ -198,10 +198,18 @@ std::unique_ptr<HitlistService> ServiceArchive::load(
     const Ipv6 a = r.addr();
     const std::uint16_t tags = r.u16();
     const std::int32_t first = r.i32();
+    if (!r.ok) break;
     // The blocklist is part of the config, not the archive: recompute the
     // cached per-address verdict against the service's own blocklist so
     // eligible_targets() agrees with a never-archived run.
-    service->input_.add(a, tags, first, &service->blocklist_);
+    if (!service->input_.add(a, tags, first, &service->blocklist_)) {
+      // A repeat would fold into the first row (tags ORed), leaving the
+      // input smaller than the input_total its history records.
+      Logger::global().warn("archive", "'" + path + "' lists input " +
+                                           a.str() + " twice");
+      std::fclose(f);
+      return nullptr;
+    }
   }
 
   const std::uint64_t n_entries = r.u64();
@@ -244,7 +252,16 @@ std::unique_ptr<HitlistService> ServiceArchive::load(
       std::fclose(f);
       return nullptr;
     }
-    service->input_.meta(row).excluded = true;
+    InputDb::Meta& m = service->input_.meta(row);
+    if (m.excluded) {
+      // A repeat would count twice in excluded_total and the published
+      // unresponsive pool.
+      Logger::global().warn("archive", "'" + path + "' excludes " + a.str() +
+                                           " twice");
+      std::fclose(f);
+      return nullptr;
+    }
+    m.excluded = true;
     service->excluded_order_.push_back(a);
   }
 

@@ -111,12 +111,21 @@ void HitlistService::record_outcome(const ScanOutcome& outcome) {
 
 std::vector<Ipv6> HitlistService::eligible_targets() const {
   std::vector<Ipv6> targets;
-  targets.reserve(input_.size() - excluded_order_.size());
+  eligible_rows(targets, nullptr);
+  return targets;
+}
+
+void HitlistService::eligible_rows(std::vector<Ipv6>& targets,
+                                   std::vector<std::uint32_t>* rows) const {
+  const std::size_t n = input_.size() - excluded_order_.size();
+  targets.reserve(n);
+  if (rows != nullptr) rows->reserve(n);
   for (std::uint32_t r = 0; r < input_.size(); ++r) {
     const InputDb::Meta& m = input_.meta(r);  // verdicts cached in the row
-    if (!m.blocked && !m.excluded) targets.push_back(input_.addresses()[r]);
+    if (m.blocked || m.excluded) continue;
+    targets.push_back(input_.addresses()[r]);
+    if (rows != nullptr) rows->push_back(r);
   }
-  return targets;
 }
 
 HitlistService::ScanOutcome HitlistService::step(const World& world,
@@ -139,15 +148,21 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
 
   // Phases 2, 4 and 6 carry volatile spans only: wall-clock attribution
   // for profiling, with no stable .calls counter to shift the goldens.
-  // 2. Exclusion + blocklist filters.
+  // 2. Exclusion + blocklist filters: the targets in insertion order (the
+  // scan and traceroute order) with their input rows, and the sorted
+  // eligible column caught up with the rows added since the last step.
   Span eligible_span = trace_span(metrics_, "service.phase.eligible",
                                   SpanCat::kService, Stability::kVolatile);
-  std::vector<Ipv6> targets = eligible_targets();
+  std::vector<Ipv6> targets;
+  std::vector<std::uint32_t> trows;
+  eligible_rows(targets, &trows);
+  eligible_.catch_up(input_);
   eligible_span.end();
 
-  // 3. Multi-level aliased prefix detection (with 3-round history).
+  // 3. Multi-level aliased prefix detection (with 3-round history), on the
+  // column: already sorted, so candidate enumeration skips the sort.
   PhaseTimer apd_timer(metrics_, "service.phase.apd");
-  auto detection = apd_.detect(world, targets, date);
+  auto detection = apd_.detect(world, eligible_.addrs(), date);
   const double apd_seconds =
       scan_duration_seconds(detection.probes_sent, cfg_.scanner.pps);
   if (TraceRecorder* tr = metrics_->tracer())
@@ -160,7 +175,21 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   Span alias_filter_span =
       trace_span(metrics_, "service.phase.alias_filter", SpanCat::kService,
                  Stability::kVolatile);
-  std::erase_if(targets, [&](const Ipv6& a) { return aliased_.covers(a); });
+  // One merge pass of the column against the aliased set marks the covered
+  // rows; the targets keep insertion order.
+  if (!aliased_.empty()) {
+    covered_.resize(input_.size());
+    eligible_.mark_covered(aliased_.prefixes(), covered_);
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+      if (covered_[trows[k]] != 0) continue;
+      targets[kept] = targets[k];
+      trows[kept] = trows[k];
+      ++kept;
+    }
+    targets.resize(kept);
+    trows.resize(kept);
+  }
   alias_filter_span.end();
 
   // 5. ZMapv6 scans, one per protocol, plus the UDP/53 GFW stage.
@@ -210,19 +239,20 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
       trace_span(metrics_, "service.phase.bookkeeping", SpanCat::kService,
                  Stability::kVolatile);
   std::size_t newly_excluded = 0;
-  for (const auto& a : targets) {
-    const std::uint32_t row = input_.row(a);
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    const std::uint32_t row = trows[k];
     InputDb::Meta& m = input_.meta(row);
     if (responsive[row] != 0) {
       m.misses = 0;
-      entry.responsive.emplace_back(a, responsive[row]);
+      entry.responsive.emplace_back(targets[k], responsive[row]);
     } else if (++m.misses >= cfg_.unresponsive_scans) {
       m.excluded = true;
-      excluded_order_.push_back(a);
+      excluded_order_.push_back(targets[k]);
       ++newly_excluded;
     }
   }
   std::sort(entry.responsive.begin(), entry.responsive.end());
+  eligible_.drop(std::span(excluded_order_).last(newly_excluded));
   bookkeeping_span.end();
 
   // 7. Yarrp traceroutes toward the (alias-filtered) targets; discovered

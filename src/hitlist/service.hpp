@@ -5,6 +5,7 @@
 
 #include "alias/apd.hpp"
 #include "core/thread_pool.hpp"
+#include "hitlist/eligible_column.hpp"
 #include "hitlist/history.hpp"
 #include "hitlist/input_db.hpp"
 #include "hitlist/sources.hpp"
@@ -132,7 +133,7 @@ class HitlistService {
   [[nodiscard]] MetricsRegistry& metrics() const { return *metrics_; }
 
   /// The scan target list for `date` given current state (blocklist,
-  /// exclusion; before alias filtering).
+  /// exclusion; before alias filtering), in input insertion order.
   [[nodiscard]] std::vector<Ipv6> eligible_targets() const;
 
   [[nodiscard]] const Config& config() const { return cfg_; }
@@ -157,6 +158,10 @@ class HitlistService {
   };
 
   void init_metrics();
+  /// The eligible input rows in insertion order: their addresses appended
+  /// to `targets` and, when `rows` is set, their row ids to `*rows`.
+  void eligible_rows(std::vector<Ipv6>& targets,
+                     std::vector<std::uint32_t>* rows) const;
   void record_new_input(std::uint16_t tags);
   void record_outcome(const ScanOutcome& outcome);
 
@@ -187,6 +192,12 @@ class HitlistService {
   PrefixSet aliased_;
   std::vector<std::vector<Prefix>> aliased_per_scan_;
   std::vector<Ipv6> excluded_order_;
+  /// The eligible rows sorted by address, carried across steps (the APD
+  /// input and the alias filter's merge side; not archived — a restored
+  /// service rebuilds it on its first step).
+  EligibleColumn eligible_;
+  /// Alias-filter verdict by input row, reused across steps.
+  std::vector<std::uint8_t> covered_;
 };
 
 }  // namespace sixdust

@@ -485,25 +485,11 @@ void AddrBatch::filter_covered(std::span<const Prefix> sorted_prefixes,
                                bool keep_covered, MetricsRegistry* reg) {
   assert(sorted_);
   const std::size_t n = size();
-  std::size_t j = 0;
-  std::vector<u128> open_ends;  // ends of prefixes covering the cursor,
-                                // outermost first (descending ends)
+  CoverCursor cursor(sorted_prefixes);
   std::size_t write = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const u128 key = pack(hi_[i], lo_[i]);
-    while (!open_ends.empty() && open_ends.back() < key) open_ends.pop_back();
-    while (j < sorted_prefixes.size() &&
-           pack(sorted_prefixes[j].base().hi(),
-                sorted_prefixes[j].base().lo()) <= key) {
-      const Ipv6 last = sorted_prefixes[j].last();
-      const u128 end = pack(last.hi(), last.lo());
-      // A prefix ending before the cursor can never cover a later
-      // (larger) address; prefixes are nested-or-disjoint, so pushed ends
-      // stay descending and the pop above retires the innermost first.
-      if (end >= key) open_ends.push_back(end);
-      ++j;
-    }
-    if (open_ends.empty() == keep_covered) continue;  // dropped
+    const bool covered = cursor.covers(Ipv6::from_words(hi_[i], lo_[i]));
+    if (covered != keep_covered) continue;  // dropped
     hi_[write] = hi_[i];
     lo_[write] = lo_[i];
     ++write;

@@ -154,6 +154,47 @@ class AddrBatch {
   Summary summary_;
 };
 
+/// The merge cursor behind every "is this address covered?" pass over a
+/// sorted address column: AddrBatch::filter_covered and the hitlist
+/// service's alias filter. The prefixes must be in lexicographic (base,
+/// len) order — what FrozenLpm::prefixes() and PrefixSet::prefixes()
+/// return — and pairwise nested or disjoint (always true of prefixes).
+/// Feed addresses in ascending order; each query advances the cursor, so
+/// a pass costs one walk over addresses + prefixes instead of one LPM per
+/// address.
+class CoverCursor {
+ public:
+  explicit CoverCursor(std::span<const Prefix> sorted_prefixes)
+      : prefixes_(sorted_prefixes) {}
+
+  /// Whether any prefix covers `a`, which must not be below the address
+  /// of the previous call.
+  [[nodiscard]] bool covers(const Ipv6& a) {
+    const u128 key = AddrBatch::pack(a.hi(), a.lo());
+    while (!open_ends_.empty() && open_ends_.back() < key)
+      open_ends_.pop_back();
+    while (next_ < prefixes_.size() &&
+           AddrBatch::pack(prefixes_[next_].base().hi(),
+                           prefixes_[next_].base().lo()) <= key) {
+      const Ipv6 last = prefixes_[next_].last();
+      const u128 end = AddrBatch::pack(last.hi(), last.lo());
+      // A prefix ending before the cursor can never cover a later
+      // (larger) address; prefixes are nested-or-disjoint, so pushed ends
+      // stay descending and the pop above retires the innermost first.
+      if (end >= key) open_ends_.push_back(end);
+      ++next_;
+    }
+    return !open_ends_.empty();
+  }
+
+ private:
+  std::span<const Prefix> prefixes_;
+  std::size_t next_ = 0;
+  /// Ends of the prefixes covering the cursor, outermost first
+  /// (descending ends).
+  std::vector<u128> open_ends_;
+};
+
 /// Expand one address into its 32 nibbles (most significant first). The
 /// byte-split inner loop is branch-free with constant shifts, so the
 /// compiler unrolls and vectorizes it — this is the kernel behind

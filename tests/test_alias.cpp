@@ -146,6 +146,65 @@ TEST_F(AliasTest, CandidatesMatchReferenceOnDenseInputs) {
   }
 }
 
+TEST(AliasCandidates, MatchReferenceOnSortedAndShuffledInput) {
+  AliasDetector::Config cfg;
+  cfg.long_prefix_min_addrs = 20;
+  std::vector<Ipv6> input;
+  // A dense /64 whose rule-(c) prefixes span several lengths with
+  // different bases: 40 consecutive addresses qualify down to /120, and
+  // 25 addresses one /80 apart share only the /68.. /76 prefixes of the
+  // upper half. Length-major emission would put the upper half's /68
+  // before the lower half's /72, so this checks the per-/64 ordering.
+  for (std::uint64_t i = 0; i < 40; ++i)
+    input.push_back(ip("2001:db8:b:1::1000").plus(i));
+  for (std::uint64_t i = 0; i < 25; ++i)
+    input.push_back(Ipv6::from_words(ip("2001:db8:b:1::").hi(),
+                                     0x8000'0000'0000'0000ULL + (i << 48)));
+  // 30 addresses under one /120 of a second /64, and single addresses.
+  for (std::uint64_t i = 0; i < 30; ++i)
+    input.push_back(ip("2001:db8:a:2::3400").plus(i));
+  input.push_back(ip("2001:db8:a:3::1"));
+  input.push_back(ip("2001:db8:c::7"));
+  input.push_back(ip("2001:db8:a:3::1"));  // a repeat counts once
+
+  // The RIB announces a rule-(b) /64, a rule-(c) /120 and one prefix
+  // twice (with different origins), next to covering and disjoint ones.
+  const Rib rib({{pfx("2001:db8::/32"), 1},
+                 {pfx("2001:db8:a:2::/64"), 2},
+                 {pfx("2001:db8:a:2::3400/120"), 3},
+                 {pfx("2001:db8:b::/48"), 4},
+                 {pfx("2001:db8:b::/48"), 5},
+                 {pfx("2001:db8:ffff::/48"), 6}});
+  ASSERT_EQ(rib.prefixes().size(), 5u);
+
+  const auto expected = reference_candidates(rib, input, cfg);
+  const auto has = [&](const char* p) {
+    return std::binary_search(expected.begin(), expected.end(), pfx(p));
+  };
+  // The edge cases are really in play.
+  ASSERT_TRUE(has("2001:db8:a:2::3400/120"));
+  ASSERT_TRUE(has("2001:db8:b:1::1000/120"));
+  ASSERT_TRUE(has("2001:db8:b:1:8000::/68"));
+  ASSERT_TRUE(has("2001:db8:b:1::/68"));
+  ASSERT_FALSE(has("2001:db8:b:1:8000::/80"));
+
+  std::vector<Ipv6> sorted = input;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_EQ(strs(AliasDetector::candidates(rib, sorted, cfg)), strs(expected));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<Ipv6> shuffled = input;
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+      std::swap(shuffled[i - 1],
+                shuffled[hash_combine(seed, i) % static_cast<std::uint64_t>(i)]);
+    EXPECT_EQ(strs(AliasDetector::candidates(rib, shuffled, cfg)),
+              strs(expected))
+        << "seed " << seed;
+  }
+  // Only RIB prefixes when there is no input.
+  EXPECT_EQ(AliasDetector::candidates(rib, {}, cfg), rib.prefixes());
+}
+
 TEST_F(AliasTest, DetectsTruthAliasedUnitsWithInputPresence) {
   const ScanDate d{45};
   const auto units = truth_units(d);

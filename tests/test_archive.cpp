@@ -172,5 +172,56 @@ TEST(Archive, RejectsOversizedCountsAndPrefixLengths) {
   std::remove(path.c_str());
 }
 
+TEST(Archive, RejectsDuplicateInputOrPoolAddress) {
+  auto world = build_test_world(85);
+  HitlistService::Config cfg;
+  HitlistService service(cfg);
+  for (int i = 0; i < 10; ++i) service.step(*world, ScanDate{i});
+  const auto& input = service.input().addresses();
+  const auto& pool = service.unresponsive_pool();
+  ASSERT_GE(input.size(), 2u);
+  ASSERT_GE(pool.size(), 2u);
+  const std::string path = ::testing::TempDir() + "/sixdust_archive_dup.bin";
+
+  // A later input record that names the first address again. Its own
+  // address must not be in the pool: dropping it would fail the load for
+  // another reason (a pool address outside the input).
+  std::size_t dup_row = 1;
+  while (dup_row < input.size() && service.excluded(input[dup_row])) ++dup_row;
+  ASSERT_LT(dup_row, input.size());
+
+  // Offsets into the v4 layout: input record r starts after the 16 header
+  // bytes, the input count and r 22-byte records; the last pool address
+  // is the 16 bytes before the taint section.
+  const long dup_input_at = 16 + 8 + 22 * static_cast<long>(dup_row);
+  const long taint_bytes =
+      8 + 25 * static_cast<long>(service.gfw().taint_records().size());
+  const long last_pool_at = -(taint_bytes + 16);
+
+  const auto load_with = [&](long offset, int whence, const Ipv6& a,
+                             const std::string& expect) {
+    ASSERT_TRUE(ServiceArchive::save(service, 5, path));
+    ASSERT_NE(ServiceArchive::load(cfg, 5, path), nullptr);
+    FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, offset, whence), 0);
+    const std::uint64_t words[2] = {a.hi(), a.lo()};
+    ASSERT_EQ(std::fwrite(words, 1, sizeof words, f), sizeof words);
+    std::fclose(f);
+    Logger::global().set_capture(true);
+    EXPECT_EQ(ServiceArchive::load(cfg, 5, path), nullptr);
+    const std::string log = Logger::global().take_captured();
+    Logger::global().set_capture(false);
+    EXPECT_NE(log.find(path), std::string::npos) << log;
+    EXPECT_NE(log.find(expect + (" " + a.str() + " twice")),
+              std::string::npos)
+        << log;
+  };
+  load_with(dup_input_at, SEEK_SET, input[0], "lists input");
+  // The last pool entry names the first pool address again.
+  load_with(last_pool_at, SEEK_END, pool[0], "excludes");
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace sixdust

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "hitlist/archive.hpp"
 #include "hitlist/discovery.hpp"
 #include "hitlist/service.hpp"
 #include "netbase/rng.hpp"
@@ -464,6 +467,175 @@ TEST(WorldReuse, PaperScaleSliceSecondTimelineMatchesFirst) {
   const TimelineOutputs fresh = run_timeline(*world, 5);
   const TimelineOutputs reused = run_timeline(*world, 5);
   expect_same_timeline(fresh, reused);
+}
+
+// --- sorted eligible column -------------------------------------------------
+
+TEST(EligibleColumn, MatchesSortedEligibleRowsAcrossMergesAndDrops) {
+  // Random rounds of adds (some blocklisted, some repeats), then random
+  // exclusions: after every catch_up the column must be exactly the
+  // eligible rows, strictly ascending by address, rows aligned.
+  const PrefixSet blocklist({pfx("2001:db8:ff::/48")});
+  InputDb db;
+  EligibleColumn column;
+  Rng rng(77);
+  const auto check = [&](int round) {
+    std::vector<std::pair<Ipv6, std::uint32_t>> expect;
+    for (std::uint32_t r = 0; r < db.size(); ++r)
+      if (!db.meta(r).blocked && !db.meta(r).excluded)
+        expect.emplace_back(db.addresses()[r], r);
+    std::sort(expect.begin(), expect.end());
+    ASSERT_EQ(column.size(), expect.size()) << "round " << round;
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(column.addrs()[i], expect[i].first) << "round " << round;
+      EXPECT_EQ(column.rows()[i], expect[i].second) << "round " << round;
+    }
+  };
+  for (int round = 0; round < 12; ++round) {
+    const int adds = round == 3 ? 0 : static_cast<int>(rng.next() % 400);
+    for (int k = 0; k < adds; ++k) {
+      const std::uint64_t v = rng.next();
+      const Ipv6 a = (v & 7) == 0
+                         ? pfx("2001:db8:ff::/48").random_address(v)
+                         : pfx("2001:db8::/40").random_address(v % 5000);
+      db.add(a, kSrcDnsAaaa, round, &blocklist);
+    }
+    column.catch_up(db);
+    check(round);
+    std::vector<Ipv6> gone;
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      if (rng.next() % 5 != 0) continue;
+      db.meta(column.rows()[i]).excluded = true;
+      gone.push_back(column.addrs()[i]);
+    }
+    std::reverse(gone.begin(), gone.end());  // drop takes any order
+    column.drop(gone);
+    column.catch_up(db);  // nothing new: a no-op merge
+    check(round);
+  }
+}
+
+/// What step(d) hands to APD, rebuilt from public state the way the service
+/// built it before it kept a sorted eligible column: the eligible targets,
+/// then what the sources deliver for `d` that the input does not hold yet,
+/// minus blocklisted addresses (new addresses cannot be excluded yet).
+std::vector<Ipv6> apd_input(const HitlistService& svc, const World& world,
+                            ScanDate d) {
+  std::vector<Ipv6> targets = svc.eligible_targets();
+  const SourceCollector sources(svc.config().sources);
+  std::unordered_set<Ipv6, Ipv6Hasher> seen;
+  for (const auto& k : sources.collect(world, d))
+    if (!svc.input().contains(k.addr) && seen.insert(k.addr).second &&
+        !svc.blocklist().covers(k.addr))
+      targets.push_back(k.addr);
+  return targets;
+}
+
+/// Step `svc` through scans [from, to). Before each step, enumerate the
+/// candidates of the rebuilt APD input; after it, the step must have
+/// tested exactly those and scanned exactly the rebuilt targets the new
+/// aliased set does not cover. Returns the step outcomes.
+std::vector<HitlistService::ScanOutcome> step_against_rebuild(
+    HitlistService& svc, const World& world, int from, int to) {
+  std::vector<HitlistService::ScanOutcome> outcomes;
+  const Counter& tested = svc.metrics().counter("apd.candidates_tested");
+  for (int i = from; i < to; ++i) {
+    const ScanDate d{i};
+    const std::vector<Ipv6> targets = apd_input(svc, world, d);
+    const std::size_t cands =
+        AliasDetector::candidates(world.rib(), targets, svc.config().apd)
+            .size();
+    const std::uint64_t before = tested.value();
+    outcomes.push_back(svc.step(world, d));
+    EXPECT_EQ(tested.value() - before, cands) << "scan " << i;
+    const auto uncovered = static_cast<std::size_t>(
+        std::count_if(targets.begin(), targets.end(), [&](const Ipv6& a) {
+          return !svc.aliased().covers(a);
+        }));
+    EXPECT_EQ(outcomes.back().scan_targets, uncovered) << "scan " << i;
+  }
+  return outcomes;
+}
+
+void expect_same_outcomes(const std::vector<HitlistService::ScanOutcome>& a,
+                          const std::vector<HitlistService::ScanOutcome>& b,
+                          unsigned threads) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].input_total, b[i].input_total) << threads << " " << i;
+    EXPECT_EQ(a[i].scan_targets, b[i].scan_targets) << threads << " " << i;
+    EXPECT_EQ(a[i].aliased_count, b[i].aliased_count) << threads << " " << i;
+    EXPECT_EQ(a[i].excluded_total, b[i].excluded_total) << threads << " " << i;
+    EXPECT_EQ(a[i].responsive_per_proto, b[i].responsive_per_proto)
+        << threads << " " << i;
+  }
+}
+
+constexpr int kSortedEligibleScans = 46;
+
+TEST(ServiceSortedEligible, MatchesRebuiltTargetsWithBlocklist) {
+  const auto world = build_test_world(61);
+  std::vector<HitlistService::ScanOutcome> first;
+  for (unsigned threads : {1u, 2u, 7u}) {
+    HitlistService::Config cfg;
+    cfg.threads = threads;
+    cfg.blocklist_prefixes = {pfx("2600:3c00::/32"), pfx("2a00:1450::/32")};
+    HitlistService svc(cfg);
+    const auto outcomes =
+        step_against_rebuild(svc, *world, 0, kSortedEligibleScans);
+    EXPECT_GT(svc.input().blocked_count(), 0u);
+    if (first.empty())
+      first = outcomes;
+    else
+      expect_same_outcomes(first, outcomes, threads);
+  }
+}
+
+TEST(ServiceSortedEligible, MatchesRebuiltTargetsWhenRowsLeaveEveryStep) {
+  const auto world = build_test_world(62);
+  std::vector<HitlistService::ScanOutcome> first;
+  for (unsigned threads : {1u, 2u, 7u}) {
+    HitlistService::Config cfg;
+    cfg.threads = threads;
+    cfg.unresponsive_scans = 2;
+    HitlistService svc(cfg);
+    const auto outcomes =
+        step_against_rebuild(svc, *world, 0, kSortedEligibleScans);
+    for (std::size_t i = 1; i < outcomes.size(); ++i)
+      EXPECT_GT(outcomes[i].newly_excluded, 0u) << "scan " << i;
+    if (first.empty())
+      first = outcomes;
+    else
+      expect_same_outcomes(first, outcomes, threads);
+  }
+}
+
+TEST(ServiceSortedEligible, MatchesRebuiltTargetsAfterArchiveLoad) {
+  const auto world = build_test_world(63);
+  constexpr int kSaved = kSortedEligibleScans - 6;
+  const std::string path = ::testing::TempDir() + "/sixdust_sorted_elig.bin";
+  std::vector<HitlistService::ScanOutcome> first;
+  for (unsigned threads : {1u, 2u, 7u}) {
+    HitlistService::Config cfg;
+    cfg.threads = threads;
+    cfg.unresponsive_scans = 2;
+    {
+      HitlistService svc(cfg);
+      step_against_rebuild(svc, *world, 0, kSaved);
+      ASSERT_TRUE(ServiceArchive::save(svc, 0x5E1, path));
+    }
+    // The restored service starts with an empty column, so its first step
+    // merges every eligible row.
+    auto loaded = ServiceArchive::load(cfg, 0x5E1, path);
+    ASSERT_NE(loaded, nullptr);
+    const auto outcomes = step_against_rebuild(*loaded, *world, kSaved,
+                                               kSortedEligibleScans);
+    if (first.empty())
+      first = outcomes;
+    else
+      expect_same_outcomes(first, outcomes, threads);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
