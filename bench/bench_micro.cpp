@@ -453,6 +453,33 @@ void BM_Zmap6AllProtos(benchmark::State& state) {
 }
 BENCHMARK(BM_Zmap6AllProtos)->Arg(1)->Arg(4)->UseRealTime();
 
+void BM_ApdProbeRound(benchmark::State& state) {
+  // One APD probe round over the service's eligible column at scan 40 of
+  // the scale-0.1 world (perfbench's timeline-dense shape), stepped and
+  // enumerated untimed. Responsive candidates cluster in (base, len)
+  // order, so this shows both the per-target cost and the chunk balance
+  // across the pool; Arg is the pool size.
+  static auto world =
+      build_world(WorldConfig{.seed = 7, .scale = 0.1, .tail_as_count = 200});
+  constexpr int kScan = 40;
+  static const std::vector<Prefix> cands = [] {
+    HitlistService svc(HitlistService::Config{});
+    for (int i = 0; i < kScan; ++i) (void)svc.step(*world, ScanDate{i});
+    return AliasDetector::candidates(world->rib(), svc.eligible_targets(),
+                                     svc.config().apd);
+  }();
+  AliasDetector apd(HitlistService::Config{}.apd);
+  apd.set_pool(ThreadPool::create(static_cast<unsigned>(state.range(0))));
+  for (auto _ : state) {
+    std::uint64_t probes = 0;
+    auto masks = apd.probe_round(*world, cands, ScanDate{kScan}, &probes);
+    benchmark::DoNotOptimize(masks);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cands.size()));
+}
+BENCHMARK(BM_ApdProbeRound)->Arg(1)->Arg(4)->UseRealTime();
+
 void BM_YarrpTrace(benchmark::State& state) {
   // The service's traceroute phase: a 20k-target budget over the test
   // world's known addresses plus silent padding; Arg is the pool size.

@@ -100,25 +100,30 @@ bool AliasDetector::lost(const Ipv6& a, ScanDate d, int proto_tag) const {
 std::uint16_t AliasDetector::probe_mask(const World& world, const Prefix& p,
                                         ScanDate date,
                                         std::uint64_t* probes) const {
+  // The candidate's deployment is resolved once; each sub-target pays only
+  // its host computation (World::answers_in falls back to one lookup per
+  // target when a deployment boundary cuts through the candidate).
+  const World::PrefixAnswers answers_in_p = world.answers_in(p);
+  const std::uint64_t addr_seed =
+      hash_combine(cfg_.seed, static_cast<std::uint64_t>(date.index));
   std::uint16_t mask = 0;
   for (unsigned i = 0; i < 16; ++i) {
-    const Prefix sub = p.subprefix(i, 4);
-    const Ipv6 target = sub.random_address(
-        hash_combine(cfg_.seed, static_cast<std::uint64_t>(date.index)));
-    // One resolution per target; the loss draws below decide which of the
-    // probes that the answer mask says would succeed actually get through.
-    const ProtoMask answers = world.answers(target, date);
+    const Ipv6 target = p.subprefix(i, 4).random_address(addr_seed);
+    // The loss draws below decide which of the probes that the answer mask
+    // says would succeed actually get through. Both are pure, so a draw is
+    // made only for a probe that can be answered: most targets are silent.
+    const ProtoMask answers = answers_in_p(target, date);
     bool responded = false;
     // ICMP probe, retransmitted once (ZMap -P2 style).
     for (int attempt = 0; attempt < 2 && !responded; ++attempt) {
       ++*probes;
-      if (!lost(target, date, attempt * 2) && mask_has(answers, Proto::Icmp))
+      if (mask_has(answers, Proto::Icmp) && !lost(target, date, attempt * 2))
         responded = true;
     }
     // TCP/80 probe (merged with ICMP).
     if (!responded) {
       ++*probes;
-      if (!lost(target, date, 1) && mask_has(answers, Proto::Tcp80))
+      if (mask_has(answers, Proto::Tcp80) && !lost(target, date, 1))
         responded = true;
     }
     if (responded) mask |= static_cast<std::uint16_t>(1u << i);
@@ -175,8 +180,14 @@ std::vector<std::uint16_t> AliasDetector::probe_round(
   // Masks land in position-addressed slots and per-chunk probe counters
   // are summed in chunk order, so the round is identical for any thread
   // count (probe loss is a pure function of the target, not of timing).
+  // Candidates are in (base, len) order and the responsive ones — 16
+  // targets each against 2 for a silent one — cluster, so one chunk per
+  // thread would leave one thread most of the round: the pool balances
+  // kChunksPerThread chunks per thread instead.
+  constexpr std::size_t kChunksPerThread = 16;
   ThreadPool* pool = pool_.get();
-  const std::size_t chunks = parallel_chunks(pool, cands.size());
+  const std::size_t chunks =
+      parallel_chunks(pool, cands.size(), kChunksPerThread);
   std::vector<std::uint16_t> masks(cands.size());
   std::vector<std::uint64_t> chunk_probes(chunks, 0);
   parallel_for(pool, cands.size(), chunks,

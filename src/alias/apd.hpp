@@ -78,6 +78,15 @@ class AliasDetector {
   [[nodiscard]] Detection detect(const World& world,
                                  std::span<const Ipv6> input, ScanDate date);
 
+  /// One round's probing, without history or verdicts: for each of
+  /// `cands`, the bitmask of its 16 sub-prefixes that responded
+  /// (ICMP|TCP80), aligned with `cands`; adds the probes issued to
+  /// `*probes`. Runs on the pool when one is set, with the same masks and
+  /// count for any thread count.
+  [[nodiscard]] std::vector<std::uint16_t> probe_round(
+      const World& world, std::span<const Prefix> cands, ScanDate date,
+      std::uint64_t* probes) const;
+
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
@@ -92,12 +101,6 @@ class AliasDetector {
                                    std::uint64_t probes) const;
 
   [[nodiscard]] bool lost(const Ipv6& a, ScanDate d, int proto_tag) const;
-
-  /// Probe all candidates (in parallel when a pool is set) into masks
-  /// aligned with `cands`; adds the probes issued to `*probes`.
-  [[nodiscard]] std::vector<std::uint16_t> probe_round(
-      const World& world, std::span<const Prefix> cands, ScanDate date,
-      std::uint64_t* probes) const;
 
   void init_metrics();
 

@@ -19,13 +19,16 @@ namespace sixdust {
   return {n * c / chunks, n * (c + 1) / chunks};
 }
 
-/// How many chunks work over `n` items should use on `pool` (one per pool
-/// thread, never more than items; 1 when running sequentially).
+/// How many chunks work over `n` items should use on `pool`: `per_thread`
+/// per pool thread (more than one lets the pool balance work that is
+/// uneven across the items), never more than items; 1 when running
+/// sequentially.
 [[nodiscard]] inline std::size_t parallel_chunks(const ThreadPool* pool,
-                                                 std::size_t n) {
+                                                 std::size_t n,
+                                                 std::size_t per_thread = 1) {
   if (n == 0) return 0;
   if (pool == nullptr) return 1;
-  return std::min<std::size_t>(pool->size(), n);
+  return std::min<std::size_t>(pool->size() * per_thread, n);
 }
 
 /// Static-chunked parallel loop: fn(chunk, begin, end) over `chunks`

@@ -16,19 +16,28 @@ namespace sixdust {
 /// the rows bookkeeping excluded. The APD round takes addrs() as its input
 /// and the alias filter is one merge pass of it against the aliased set.
 ///
+/// Next to the column it keeps the same rows in row (insertion) order,
+/// the scan and traceroute order, so a step walks only the eligible rows
+/// instead of every input row's Meta.
+///
 /// Invariant after catch_up(db): the column holds exactly the eligible
 /// rows among db's rows, strictly ascending by address, rows() aligned
-/// with addrs().
+/// with addrs(); insertion_rows() holds the same rows ascending.
 class EligibleColumn {
  public:
+  /// Scanned unless blocklisted or excluded by the 30-day filter.
+  [[nodiscard]] static bool eligible(const InputDb::Meta& m) {
+    return !m.blocked && !m.excluded;
+  }
+
   /// Merge in the eligible rows of `db` added since the last call (all of
   /// them on the first call — a service restored from an archive starts
   /// here). The new rows are sorted on their own and merged in place from
-  /// the back.
+  /// the back, and appended to insertion_rows().
   void catch_up(const InputDb& db);
 
   /// Drop `gone` (addresses now excluded, any order). One sorted merge
-  /// pass over the column.
+  /// pass over the column, then one over insertion_rows().
   void drop(std::span<const Ipv6> gone);
 
   /// Set by_row[r], for every column row r, to whether any of
@@ -42,20 +51,30 @@ class EligibleColumn {
   [[nodiscard]] std::span<const Ipv6> addrs() const { return addrs_; }
   [[nodiscard]] std::span<const std::uint32_t> rows() const { return rows_; }
   [[nodiscard]] std::size_t size() const { return rows_.size(); }
+  /// The column's rows in ascending row order.
+  [[nodiscard]] std::span<const std::uint32_t> insertion_rows() const {
+    return by_row_;
+  }
+  /// What insertion_rows() holds after catch_up(db), without changing the
+  /// column: its rows, then the eligible rows of `db` added since.
+  [[nodiscard]] std::vector<std::uint32_t> insertion_rows(
+      const InputDb& db) const;
 
  private:
   std::vector<Ipv6> addrs_;
   std::vector<std::uint32_t> rows_;
+  std::vector<std::uint32_t> by_row_;
   /// Input rows below this one have been offered to the column.
   std::uint32_t merged_ = 0;
   /// Scratch reused across steps: catch_up's new rows with their
-  /// addresses, drop's sorted addresses.
+  /// addresses, drop's sorted addresses and their rows.
   struct Fresh {
     Ipv6 addr;
     std::uint32_t row;
   };
   std::vector<Fresh> fresh_;
   std::vector<Ipv6> gone_;
+  std::vector<std::uint32_t> gone_rows_;
 };
 
 }  // namespace sixdust

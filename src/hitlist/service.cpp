@@ -110,22 +110,11 @@ void HitlistService::record_outcome(const ScanOutcome& outcome) {
 }
 
 std::vector<Ipv6> HitlistService::eligible_targets() const {
+  const std::vector<std::uint32_t> rows = eligible_.insertion_rows(input_);
   std::vector<Ipv6> targets;
-  eligible_rows(targets, nullptr);
+  targets.reserve(rows.size());
+  for (const std::uint32_t r : rows) targets.push_back(input_.addresses()[r]);
   return targets;
-}
-
-void HitlistService::eligible_rows(std::vector<Ipv6>& targets,
-                                   std::vector<std::uint32_t>* rows) const {
-  const std::size_t n = input_.size() - excluded_order_.size();
-  targets.reserve(n);
-  if (rows != nullptr) rows->reserve(n);
-  for (std::uint32_t r = 0; r < input_.size(); ++r) {
-    const InputDb::Meta& m = input_.meta(r);  // verdicts cached in the row
-    if (m.blocked || m.excluded) continue;
-    targets.push_back(input_.addresses()[r]);
-    if (rows != nullptr) rows->push_back(r);
-  }
 }
 
 HitlistService::ScanOutcome HitlistService::step(const World& world,
@@ -148,15 +137,17 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
 
   // Phases 2, 4 and 6 carry volatile spans only: wall-clock attribution
   // for profiling, with no stable .calls counter to shift the goldens.
-  // 2. Exclusion + blocklist filters: the targets in insertion order (the
-  // scan and traceroute order) with their input rows, and the sorted
-  // eligible column caught up with the rows added since the last step.
+  // 2. Exclusion + blocklist filters: the eligible column caught up with
+  // the rows added since the last step, then its rows in insertion order
+  // (the scan and traceroute order) with their addresses.
   Span eligible_span = trace_span(metrics_, "service.phase.eligible",
                                   SpanCat::kService, Stability::kVolatile);
-  std::vector<Ipv6> targets;
-  std::vector<std::uint32_t> trows;
-  eligible_rows(targets, &trows);
   eligible_.catch_up(input_);
+  std::vector<std::uint32_t> trows(eligible_.insertion_rows().begin(),
+                                   eligible_.insertion_rows().end());
+  std::vector<Ipv6> targets;
+  targets.reserve(trows.size());
+  for (const std::uint32_t r : trows) targets.push_back(input_.addresses()[r]);
   eligible_span.end();
 
   // 3. Multi-level aliased prefix detection (with 3-round history), on the
@@ -193,8 +184,8 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   alias_filter_span.end();
 
   // 5. ZMapv6 scans, one per protocol, plus the UDP/53 GFW stage.
-  // Response masks by input row; every responsive record is a target.
-  std::vector<ProtoMask> responsive(input_.size(), 0);
+  // Response masks by target, indexed by each record's scan position.
+  std::vector<ProtoMask> responsive(targets.size(), 0);
   History::Entry entry;
   entry.scan_index = date.index;
   // All probe stages share one rate-limited sender; APD probes ran above.
@@ -217,7 +208,7 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
                              date.index >= cfg_.gfw_filter_from_scan;
       if (filter_on) {
         for (const auto& rec : gfw_.filter_scan(result))
-          responsive[input_.row(rec.target)] |= proto_bit(p);
+          responsive[rec.index] |= proto_bit(p);
         continue;
       }
       // Published behaviour: every response counts — but record the
@@ -225,7 +216,7 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
       gfw_.observe_scan(result);
     }
     for (const auto& rec : result.responsive)
-      responsive[input_.row(rec.target)] |= proto_bit(p);
+      responsive[rec.index] |= proto_bit(p);
   }
   // Advance the simulated clock by the scan phase's share (deterministic:
   // the per-protocol durations were folded in kAllProtos order above), so
@@ -242,9 +233,9 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
   for (std::size_t k = 0; k < targets.size(); ++k) {
     const std::uint32_t row = trows[k];
     InputDb::Meta& m = input_.meta(row);
-    if (responsive[row] != 0) {
+    if (responsive[k] != 0) {
       m.misses = 0;
-      entry.responsive.emplace_back(targets[k], responsive[row]);
+      entry.responsive.emplace_back(targets[k], responsive[k]);
     } else if (++m.misses >= cfg_.unresponsive_scans) {
       m.excluded = true;
       excluded_order_.push_back(targets[k]);

@@ -158,10 +158,6 @@ class HitlistService {
   };
 
   void init_metrics();
-  /// The eligible input rows in insertion order: their addresses appended
-  /// to `targets` and, when `rows` is set, their row ids to `*rows`.
-  void eligible_rows(std::vector<Ipv6>& targets,
-                     std::vector<std::uint32_t>* rows) const;
   void record_new_input(std::uint16_t tags);
   void record_outcome(const ScanOutcome& outcome);
 
@@ -192,9 +188,10 @@ class HitlistService {
   PrefixSet aliased_;
   std::vector<std::vector<Prefix>> aliased_per_scan_;
   std::vector<Ipv6> excluded_order_;
-  /// The eligible rows sorted by address, carried across steps (the APD
-  /// input and the alias filter's merge side; not archived — a restored
-  /// service rebuilds it on its first step).
+  /// The eligible rows sorted by address and in insertion order, carried
+  /// across steps (the APD input, the alias filter's merge side and the
+  /// step's target walk; not archived — a restored service rebuilds it on
+  /// its first step).
   EligibleColumn eligible_;
   /// Alias-filter verdict by input row, reused across steps.
   std::vector<std::uint8_t> covered_;

@@ -80,6 +80,19 @@ class FrozenLpm {
   /// True if any stored prefix covers `a`.
   [[nodiscard]] bool covers(const Ipv6& a) const { return slot_of(a) >= 0; }
 
+  /// lookup() for every address of `p` at once: the value of the one
+  /// interval holding all of `p` (nullptr when that interval has no
+  /// match), or nullopt when an interval boundary falls inside `p`, so
+  /// that its addresses resolve to different values and each needs its
+  /// own lookup(). One descent for p.base(); `p` lies in that interval
+  /// when p.last() is below the next boundary.
+  [[nodiscard]] std::optional<const T*> lookup_prefix(const Prefix& p) const {
+    const std::size_t k = upper_bound_node(pack(p.base()));
+    if (k != 0 && ekey_[k] <= pack(p.last())) return std::nullopt;
+    const std::int32_t s = k == 0 ? last_slot_ : eslot_[k];
+    return s < 0 ? nullptr : &values_[static_cast<std::size_t>(s)];
+  }
+
   [[nodiscard]] std::size_t size() const { return prefixes_.size(); }
   [[nodiscard]] bool empty() const { return prefixes_.empty(); }
 
@@ -93,13 +106,20 @@ class FrozenLpm {
       Ipv6::from_words(~std::uint64_t{0}, ~std::uint64_t{0});
 
   /// Index of the interval covering `a`: the predecessor of the first
-  /// boundary > `a`. Branch-reduced Eytzinger descent — node k's children
-  /// are 2k and 2k+1, so the search is one multiply-add per level over a
-  /// single contiguous array, with the grandchildren's cache line
-  /// prefetched ahead.
+  /// boundary > `a`.
   [[nodiscard]] std::int32_t slot_of(const Ipv6& a) const {
+    const std::size_t k = upper_bound_node(pack(a));
+    return k == 0 ? last_slot_ : eslot_[k];
+  }
+
+  /// Heap position of the first boundary > `key`, or 0 when every
+  /// boundary is <= `key` (then the last interval applies).
+  /// Branch-reduced Eytzinger descent — node k's children are 2k and
+  /// 2k+1, so the search is one multiply-add per level over a single
+  /// contiguous array, with the grandchildren's cache line prefetched
+  /// ahead.
+  [[nodiscard]] std::size_t upper_bound_node(u128 key) const {
     const std::size_t n = ekey_.size() - 1;  // slot 0 unused (heap layout)
-    const u128 key = pack(a);
     std::size_t k = 1;
     while (k <= n) {
       // Prefetch four levels ahead (a 64-byte line holds 4 boundaries),
@@ -107,11 +127,8 @@ class FrozenLpm {
       __builtin_prefetch(ekey_.data() + std::min(k * 16, n));
       k = 2 * k + (ekey_[k] <= key ? 1 : 0);
     }
-    // Cancel the trailing right turns plus the final left turn: k is now
-    // the heap position of the first boundary > `a`, or 0 when every
-    // boundary is <= `a` (then the last interval applies).
-    k >>= static_cast<unsigned>(std::countr_one(k)) + 1;
-    return k == 0 ? last_slot_ : eslot_[k];
+    // Cancel the trailing right turns plus the final left turn.
+    return k >> (static_cast<unsigned>(std::countr_one(k)) + 1);
   }
 
   /// Sweep the (base, len)-sorted prefixes into disjoint half-open

@@ -292,7 +292,10 @@ ScanResult Zmap6::walk(const World& world, std::span<const Ipv6> targets,
           // A target that cannot answer stays silent; retrying won't help.
           if (!mask_has(v, proto)) break;
           auto rec = probe_one(world, t, proto, date);
-          if (rec) result.responsive.push_back(std::move(*rec));
+          if (rec) {
+            rec->index = static_cast<std::uint32_t>(index);
+            result.responsive.push_back(std::move(*rec));
+          }
           break;
         }
       });

@@ -29,6 +29,9 @@ struct DnsObservation {
 /// fingerprinting, DNS-injection filtering).
 struct ScanRecord {
   Ipv6 target;
+  /// The target's position in the scanned span (0 for probe_one(), which
+  /// scans no span).
+  std::uint32_t index = 0;
   std::optional<TcpFeatures> tcp;
   std::uint8_t hop_limit = 0;
   std::optional<DnsObservation> dns;

@@ -50,8 +50,13 @@ std::optional<HostBehavior> World::truth_host(const Ipv6& a,
 }
 
 ProtoMask World::answers(const Ipv6& target, ScanDate d) const {
-  const auto h = truth_host(target, d);
-  return h ? h->responsive : ProtoMask{0};
+  return host_answers(deployment_of(target), target, d);
+}
+
+World::PrefixAnswers World::answers_in(const Prefix& p) const {
+  const auto i = by_prefix_.lookup_prefix(p);
+  if (!i) return {this, nullptr, false};
+  return {this, *i == nullptr ? nullptr : deployments_[**i].get(), true};
 }
 
 Ipv6 World::own_zone_answer(std::string_view qname) {

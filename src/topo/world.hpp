@@ -39,7 +39,7 @@ namespace sixdust {
 /// before.
 ///
 /// Thread-safety contract (see DESIGN.md, "Concurrency model"): the const
-/// probe surface — answers, icmp_echo, tcp_syn, dns_query, quic_probe,
+/// probe surface — answers, answers_in, icmp_echo, tcp_syn, dns_query, quic_probe,
 /// probe, path_to, truth_host — may be called concurrently, also with
 /// different ScanDates in flight. Probe results are pure functions of
 /// (address, date, seed), so interleaving never changes what a probe
@@ -73,6 +73,32 @@ class World {
   /// UDP/53 bit covers the host only — GFW injections, which answer for
   /// absent hosts too, come from dns_query alone.
   [[nodiscard]] ProtoMask answers(const Ipv6& target, ScanDate d) const;
+
+  /// answers() for targets inside one prefix, with the deployment lookup
+  /// paid once for the whole prefix (see answers_in()).
+  class PrefixAnswers {
+   public:
+    /// answers(target, d) for a `target` inside the prefix.
+    [[nodiscard]] ProtoMask operator()(const Ipv6& target, ScanDate d) const {
+      return whole_ ? host_answers(dep_, target, d)
+                    : world_->answers(target, d);
+    }
+
+   private:
+    friend class World;
+    PrefixAnswers(const World* world, const Deployment* dep, bool whole)
+        : world_(world), dep_(dep), whole_(whole) {}
+    const World* world_;
+    const Deployment* dep_;  // behind every address of the prefix (whole_)
+    bool whole_;
+  };
+
+  /// Resolve the deployment behind `p` once: every address of `p` then
+  /// pays only the host computation. A prefix that straddles a deployment
+  /// boundary (a BGP prefix holding a more-specific deployment, say)
+  /// resolves each target on its own, so the result always equals
+  /// answers(target, d).
+  [[nodiscard]] PrefixAnswers answers_in(const Prefix& p) const;
 
   [[nodiscard]] std::optional<IcmpEchoReply> icmp_echo(const Ipv6& target,
                                                        IcmpEchoRequest req,
@@ -183,6 +209,15 @@ class World {
                                                        ScanDate d) const;
 
  private:
+  /// The protocols the host at `target` answers, given the deployment
+  /// covering it (null: none) — the one place answers are computed.
+  [[nodiscard]] static ProtoMask host_answers(const Deployment* dep,
+                                              const Ipv6& target, ScanDate d) {
+    if (dep == nullptr) return ProtoMask{0};
+    const auto h = dep->host(target, d);
+    return h ? h->responsive : ProtoMask{0};
+  }
+
   AsRegistry registry_;
   Rib rib_;
   Gfw gfw_;

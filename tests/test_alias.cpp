@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
+#include <span>
 #include <string>
+#include <unordered_set>
 
 #include "alias/apd.hpp"
 #include "alias/tbt.hpp"
 #include "alias/tcp_fp.hpp"
+#include "hitlist/service.hpp"
 #include "netbase/hash.hpp"
 #include "topo/aliased_region.hpp"
 #include "topo/world_builder.hpp"
@@ -344,6 +348,153 @@ TEST_F(AliasTest, HistoryMergesPrefixesMissingFromAnInterimRound) {
     found_single += found(single, u) ? 1 : 0;
   }
   EXPECT_GT(found_merged, found_single);  // round 1 filled in lost probes
+}
+
+// --- the probe round against a naive reference ------------------------------
+
+/// The probe round as it read before candidates resolved their deployment
+/// once: one World::answers per sub-target, a loss draw before every
+/// answer check, and one sequential pass.
+struct NaiveProbeRound {
+  const AliasDetector::Config& cfg;
+
+  [[nodiscard]] bool lost(const Ipv6& a, ScanDate d, int proto_tag) const {
+    if (cfg.loss <= 0) return false;
+    const std::uint64_t h =
+        hash_combine(hash_of(a, cfg.seed ^ 0xA1D),
+                     (static_cast<std::uint64_t>(d.index) << 8) |
+                         static_cast<std::uint64_t>(proto_tag));
+    return unit_from_hash(h) < cfg.loss;
+  }
+
+  std::uint16_t mask(const World& world, const Prefix& p, ScanDate date,
+                     std::uint64_t* probes) const {
+    std::uint16_t m = 0;
+    for (unsigned i = 0; i < 16; ++i) {
+      const Ipv6 target = p.subprefix(i, 4).random_address(
+          hash_combine(cfg.seed, static_cast<std::uint64_t>(date.index)));
+      const ProtoMask answers = world.answers(target, date);
+      bool responded = false;
+      for (int attempt = 0; attempt < 2 && !responded; ++attempt) {
+        ++*probes;
+        if (!lost(target, date, attempt * 2) && mask_has(answers, Proto::Icmp))
+          responded = true;
+      }
+      if (!responded) {
+        ++*probes;
+        if (!lost(target, date, 1) && mask_has(answers, Proto::Tcp80))
+          responded = true;
+      }
+      if (responded) m |= static_cast<std::uint16_t>(1u << i);
+      if (i == 1 && m == 0) return m;
+    }
+    return m;
+  }
+};
+
+/// Candidates that a deployment boundary cuts through or just misses:
+/// every BGP prefix holding a more-specific deployment prefix, the /len-4
+/// parent of each deployment prefix (the deployment is one of its 16
+/// sub-prefixes), and each deployment prefix's same-length neighbours,
+/// the one below ending exactly one address before the boundary.
+std::vector<Prefix> boundary_candidates(const World& world,
+                                        std::size_t* straddling_bgp) {
+  std::vector<Prefix> deps;
+  for (const auto& d : world.deployments())
+    deps.insert(deps.end(), d->prefixes().begin(), d->prefixes().end());
+  std::sort(deps.begin(), deps.end());
+  std::vector<Prefix> out;
+  *straddling_bgp = 0;
+  for (const Prefix& bgp : world.rib().prefixes()) {
+    // The first deployment prefix after `bgp` in (base, len) order is
+    // inside it if any more-specific one is.
+    const auto it = std::upper_bound(deps.begin(), deps.end(), bgp);
+    if (it == deps.end() || !bgp.contains(*it)) continue;
+    out.push_back(bgp);
+    ++*straddling_bgp;
+  }
+  const Ipv6 max = Ipv6::from_words(~0ULL, ~0ULL);
+  for (const Prefix& q : deps) {
+    if (q.len() < 4 || q.len() > 124) continue;
+    out.push_back(Prefix::make(q.base(), q.len() - 4));
+    const Ipv6 b = q.base();
+    if (b != Ipv6{})
+      out.push_back(Prefix::make(
+          Ipv6::from_words(b.lo() == 0 ? b.hi() - 1 : b.hi(), b.lo() - 1),
+          q.len()));
+    if (q.last() != max) out.push_back(Prefix::make(q.last().plus(1), q.len()));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// Compare one round at threads 1/2/7 against the naive reference.
+void expect_round_matches_naive(const World& world,
+                                std::span<const Prefix> cands, ScanDate d,
+                                const AliasDetector::Config& base,
+                                std::uint64_t* responsive_bits) {
+  const NaiveProbeRound naive{base};
+  std::vector<std::uint16_t> want(cands.size());
+  std::uint64_t want_probes = 0;
+  for (std::size_t i = 0; i < cands.size(); ++i)
+    want[i] = naive.mask(world, cands[i], d, &want_probes);
+  for (const std::uint16_t m : want)
+    *responsive_bits += static_cast<std::uint64_t>(std::popcount(m));
+  for (unsigned threads : {1u, 2u, 7u}) {
+    AliasDetector::Config cfg = base;
+    cfg.threads = threads;
+    const AliasDetector det(cfg);
+    std::uint64_t probes = 0;
+    const auto got = det.probe_round(world, cands, d, &probes);
+    EXPECT_EQ(probes, want_probes) << "scan " << d.index << " threads "
+                                   << threads;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < cands.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << cands[i].str() << " scan " << d.index
+                                 << " threads " << threads;
+  }
+}
+
+TEST(ApdProbeRound, MatchesNaiveReference) {
+  // The service's candidates on every scan of a 46-scan test-world run,
+  // rebuilt from public state before each step as the step builds them.
+  const auto world = build_test_world(46);
+  HitlistService svc(HitlistService::Config{});
+  const SourceCollector sources(svc.config().sources);
+  const AliasDetector::Config cfg = svc.config().apd;
+  std::uint64_t responsive_bits = 0;
+  for (int i = 0; i < 46; ++i) {
+    const ScanDate d{i};
+    std::vector<Ipv6> input = svc.eligible_targets();
+    std::unordered_set<Ipv6, Ipv6Hasher> seen;
+    for (const auto& k : sources.collect(*world, d))
+      if (!svc.input().contains(k.addr) && seen.insert(k.addr).second &&
+          !svc.blocklist().covers(k.addr))
+        input.push_back(k.addr);
+    const auto cands = AliasDetector::candidates(world->rib(), input, cfg);
+    expect_round_matches_naive(*world, cands, d, cfg, &responsive_bits);
+    if (::testing::Test::HasFatalFailure()) return;
+    (void)svc.step(*world, d);
+  }
+  EXPECT_GT(responsive_bits, 0u);
+
+  // Candidates around deployment boundaries, under the default loss and a
+  // heavy one that draws against many more probes.
+  std::size_t straddling_bgp = 0;
+  const auto fixtures = boundary_candidates(*world, &straddling_bgp);
+  ASSERT_GT(straddling_bgp, 0u);
+  std::uint64_t fixture_bits = 0;
+  for (double loss : {0.01, 0.3}) {
+    AliasDetector::Config lossy = cfg;
+    lossy.loss = loss;
+    for (int i : {0, 23, 45}) {
+      expect_round_matches_naive(*world, fixtures, ScanDate{i}, lossy,
+                                 &fixture_bits);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(fixture_bits, 0u);
 }
 
 TEST_F(AliasTest, TcpFingerprintsUniformWithinAliasedPrefixes) {

@@ -474,16 +474,23 @@ TEST(WorldReuse, PaperScaleSliceSecondTimelineMatchesFirst) {
 TEST(EligibleColumn, MatchesSortedEligibleRowsAcrossMergesAndDrops) {
   // Random rounds of adds (some blocklisted, some repeats), then random
   // exclusions: after every catch_up the column must be exactly the
-  // eligible rows, strictly ascending by address, rows aligned.
+  // eligible rows, strictly ascending by address, rows aligned, and
+  // insertion_rows() the same rows ascending.
   const PrefixSet blocklist({pfx("2001:db8:ff::/48")});
   InputDb db;
   EligibleColumn column;
   Rng rng(77);
   const auto check = [&](int round) {
     std::vector<std::pair<Ipv6, std::uint32_t>> expect;
+    std::vector<std::uint32_t> expect_rows;
     for (std::uint32_t r = 0; r < db.size(); ++r)
-      if (!db.meta(r).blocked && !db.meta(r).excluded)
+      if (!db.meta(r).blocked && !db.meta(r).excluded) {
         expect.emplace_back(db.addresses()[r], r);
+        expect_rows.push_back(r);
+      }
+    EXPECT_TRUE(std::ranges::equal(column.insertion_rows(), expect_rows))
+        << "round " << round;
+    EXPECT_EQ(column.insertion_rows(db), expect_rows) << "round " << round;
     std::sort(expect.begin(), expect.end());
     ASSERT_EQ(column.size(), expect.size()) << "round " << round;
     for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -500,6 +507,11 @@ TEST(EligibleColumn, MatchesSortedEligibleRowsAcrossMergesAndDrops) {
                          : pfx("2001:db8::/40").random_address(v % 5000);
       db.add(a, kSrcDnsAaaa, round, &blocklist);
     }
+    // Before catching up, insertion_rows(db) already lists the new rows.
+    std::vector<std::uint32_t> upcoming;
+    for (std::uint32_t r = 0; r < db.size(); ++r)
+      if (!db.meta(r).blocked && !db.meta(r).excluded) upcoming.push_back(r);
+    EXPECT_EQ(column.insertion_rows(db), upcoming) << "round " << round;
     column.catch_up(db);
     check(round);
     std::vector<Ipv6> gone;

@@ -210,5 +210,136 @@ TEST(LpmEdgeCases, HostRouteAtMaxAddress) {
   EXPECT_FALSE(frozen.covers(outside));
 }
 
+// --- per-prefix lookup -----------------------------------------------------
+
+Ipv6 minus_one(const Ipv6& a) {
+  return Ipv6::from_words(a.lo() == 0 ? a.hi() - 1 : a.hi(), a.lo() - 1);
+}
+
+/// lookup_prefix() from the stored entries alone: nullopt when `p`
+/// straddles, else the naive longest match of its addresses (nullopt
+/// inside: no match). The table's value can only change where a stored
+/// prefix starts or ends, so `p` resolves to one interval exactly when
+/// none of those points lies in (base, last].
+std::optional<std::optional<int>> naive_lookup_prefix(const NaiveRef& naive,
+                                                      const Prefix& p) {
+  const Ipv6 max = Ipv6::from_words(~0ULL, ~0ULL);
+  const auto inside = [&](const Ipv6& b) {
+    return p.base() < b && b <= p.last();
+  };
+  for (const auto& [q, v] : naive.entries)
+    if (inside(q.base()) || (q.last() != max && inside(q.last().plus(1))))
+      return std::nullopt;
+  const auto m = naive.longest_match(p.base());
+  return m ? std::optional<int>(m->value) : std::nullopt;
+}
+
+/// Queries around every stored prefix: itself, its parents, its
+/// neighbours of the same length (one ending at base - 1, one starting
+/// at last + 1), host routes on both sides of each boundary, and the
+/// short prefixes holding base - 1, which end at base - 1 or reach over
+/// the boundary depending on alignment.
+std::vector<Prefix> queries_around(const std::vector<Prefix>& stored) {
+  const Ipv6 max = Ipv6::from_words(~0ULL, ~0ULL);
+  std::vector<Prefix> out = {Prefix::make(Ipv6{}, 0), Prefix::make(max, 128)};
+  for (const Prefix& q : stored) {
+    out.push_back(q);
+    for (int up : {1, 4, 8})
+      if (q.len() >= up) out.push_back(Prefix::make(q.base(), q.len() - up));
+    for (const Ipv6& b : {q.base(), q.last().plus(1)}) {
+      if (b == Ipv6{}) continue;  // no address below ::
+      const Ipv6 before = minus_one(b);
+      out.push_back(Prefix::make(before, q.len()));
+      for (int len : {96, 120, 124, 127, 128})
+        out.push_back(Prefix::make(before, len));
+      out.push_back(Prefix::make(b, 128));
+    }
+  }
+  return out;
+}
+
+void expect_prefix_lookups_match(
+    const std::vector<std::pair<Prefix, int>>& column,
+    const std::vector<Prefix>& queries) {
+  NaiveRef naive;
+  for (const auto& [p, v] : column) naive.insert(p, v);
+  const FrozenLpm<int> frozen{column};
+  for (const Prefix& p : queries) {
+    const auto want = naive_lookup_prefix(naive, p);
+    const auto got = frozen.lookup_prefix(p);
+    ASSERT_EQ(got.has_value(), want.has_value()) << p.str();
+    if (!want) continue;
+    ASSERT_EQ(*got != nullptr, want->has_value()) << p.str();
+    if (*got != nullptr) {
+      EXPECT_EQ(**got, **want) << p.str();
+    }
+    // A whole prefix resolves like each of its addresses.
+    for (const Ipv6& a : {p.base(), p.last(), p.random_address(7)})
+      EXPECT_EQ(*got, frozen.lookup(a)) << p.str() << " at " << a.str();
+  }
+}
+
+TEST(LpmPrefixLookup, MatchesNaiveReference) {
+  for (int tops : {1, 4, 16, 64}) {
+    Rng rng(7300 + static_cast<std::uint64_t>(tops));
+    const auto prefixes = nasty_prefixes(rng, tops, tops % 2 == 0);
+    std::vector<std::pair<Prefix, int>> column;
+    for (std::size_t i = 0; i < prefixes.size(); ++i)
+      column.emplace_back(prefixes[i], static_cast<int>(i));
+    std::vector<Prefix> queries = queries_around(prefixes);
+    for (int i = 0; i < 300; ++i)
+      queries.push_back(Prefix::make(random_addr(rng),
+                                     static_cast<int>(rng.below(129))));
+    expect_prefix_lookups_match(column, queries);
+  }
+}
+
+TEST(LpmPrefixLookup, EdgeCases) {
+  const Ipv6 max = Ipv6::from_words(~0ULL, ~0ULL);
+  const Prefix outer = pfx("2001:db8::/32");
+  const Prefix inner = pfx("2001:db8::/48");  // shares outer's base
+  const Prefix deep = pfx("2001:db8:1:1::/64");
+  const Prefix host = Prefix::make(max, 128);
+  const std::vector<std::pair<Prefix, int>> column = {
+      {outer, 1}, {inner, 2}, {deep, 3}, {host, 4}};
+  const FrozenLpm<int> frozen{column};
+  // The value a whole prefix resolves to (-1: no match), or nullopt when
+  // it straddles a boundary.
+  const auto whole = [](const FrozenLpm<int>& t,
+                        const Prefix& p) -> std::optional<int> {
+    const auto v = t.lookup_prefix(p);
+    if (!v) return std::nullopt;
+    return *v == nullptr ? -1 : **v;
+  };
+  // Nested prefixes sharing a base: the inner one resolves whole, the
+  // outer one straddles its more-specifics.
+  EXPECT_EQ(whole(frozen, inner), 2);
+  EXPECT_EQ(whole(frozen, outer), std::nullopt);
+  // The /64 just below `deep` ends at boundary - 1; the /63 holding both
+  // reaches over the boundary; the /64 just above starts at the boundary
+  // where `deep` hands back to `outer`.
+  EXPECT_EQ(whole(frozen, pfx("2001:db8:1::/64")), 1);
+  EXPECT_EQ(whole(frozen, pfx("2001:db8:1::/63")), std::nullopt);
+  EXPECT_EQ(whole(frozen, pfx("2001:db8:1:2::/64")), 1);
+  EXPECT_EQ(whole(frozen, deep), 3);
+  // Uncovered space resolves whole to no match.
+  EXPECT_EQ(whole(frozen, pfx("2001:db9::/32")), -1);
+  // ::/0 holds every boundary; the /128 at the all-ones address is one.
+  EXPECT_EQ(whole(frozen, Prefix::make(Ipv6{}, 0)), std::nullopt);
+  EXPECT_EQ(whole(frozen, host), 4);
+  EXPECT_EQ(whole(frozen, Prefix::make(max, 127)), std::nullopt);
+  expect_prefix_lookups_match(column, queries_around(frozen.prefixes()));
+
+  // An empty table resolves everything, ::/0 included, to no match.
+  const FrozenLpm<int> empty;
+  for (const Prefix& p : {Prefix::make(Ipv6{}, 0), host, outer})
+    EXPECT_EQ(whole(empty, p), -1) << p.str();
+  // A default route alone leaves no boundary inside ::/0.
+  const FrozenLpm<int> all{
+      std::vector<std::pair<Prefix, int>>{{Prefix::make(Ipv6{}, 0), 9}}};
+  EXPECT_EQ(whole(all, Prefix::make(Ipv6{}, 0)), 9);
+  EXPECT_EQ(whole(all, host), 9);
+}
+
 }  // namespace
 }  // namespace sixdust
