@@ -39,9 +39,9 @@ namespace sixdust {
 /// before.
 ///
 /// Thread-safety contract (see DESIGN.md, "Concurrency model"): the const
-/// probe surface — answers, answers_in, icmp_echo, tcp_syn, dns_query, quic_probe,
-/// probe, path_to, truth_host — may be called concurrently, also with
-/// different ScanDates in flight. Probe results are pure functions of
+/// probe surface — answers, answers_in, icmp_echo, tcp_syn, dns_query,
+/// quic_probe, probe, path_to, truth_host — may be called concurrently,
+/// also with different ScanDates in flight. Probe results are pure functions of
 /// (address, date, seed), so interleaving never changes what a probe
 /// observes. The side-channel state is internally guarded: the PMTU caches
 /// by a reader/writer lock that probes skip until the first Packet Too Big
