@@ -9,11 +9,10 @@ namespace sixdust {
 void EligibleColumn::catch_up(const InputDb& db) {
   const auto& all = db.addresses();
   fresh_.clear();
-  for (auto r = merged_; r < db.size(); ++r) {
-    if (!eligible(db.meta(r))) continue;
+  for_each_new_row(db, [&](std::uint32_t r) {
     fresh_.push_back({all[r], r});
     by_row_.push_back(r);
-  }
+  });
   merged_ = static_cast<std::uint32_t>(db.size());
   std::sort(fresh_.begin(), fresh_.end(),
             [](const Fresh& a, const Fresh& b) { return a.addr < b.addr; });
@@ -42,43 +41,23 @@ void EligibleColumn::catch_up(const InputDb& db) {
   }
 }
 
-void EligibleColumn::drop(std::span<const Ipv6> gone) {
+void EligibleColumn::drop(const InputDb& db, std::span<const Ipv6> gone) {
   if (gone.empty()) return;
   gone_.assign(gone.begin(), gone.end());
   std::sort(gone_.begin(), gone_.end());
-  gone_rows_.clear();
   std::size_t j = 0;
   std::size_t write = 0;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     while (j < gone_.size() && gone_[j] < addrs_[i]) ++j;
-    if (j < gone_.size() && gone_[j] == addrs_[i]) {
-      gone_rows_.push_back(rows_[i]);
-      continue;
-    }
+    if (j < gone_.size() && gone_[j] == addrs_[i]) continue;
     addrs_[write] = addrs_[i];
     rows_[write] = rows_[i];
     ++write;
   }
   addrs_.resize(write);
   rows_.resize(write);
-
-  std::sort(gone_rows_.begin(), gone_rows_.end());
-  j = 0;
-  write = 0;
-  for (const std::uint32_t r : by_row_) {
-    while (j < gone_rows_.size() && gone_rows_[j] < r) ++j;
-    if (j < gone_rows_.size() && gone_rows_[j] == r) continue;
-    by_row_[write++] = r;
-  }
-  by_row_.resize(write);
-}
-
-std::vector<std::uint32_t> EligibleColumn::insertion_rows(
-    const InputDb& db) const {
-  std::vector<std::uint32_t> out(by_row_.begin(), by_row_.end());
-  for (auto r = merged_; r < db.size(); ++r)
-    if (eligible(db.meta(r))) out.push_back(r);
-  return out;
+  std::erase_if(by_row_,
+                [&](std::uint32_t r) { return db.meta(r).excluded; });
 }
 
 void EligibleColumn::mark_covered(std::span<const Prefix> sorted_prefixes,

@@ -25,20 +25,24 @@ namespace sixdust {
 /// with addrs(); insertion_rows() holds the same rows ascending.
 class EligibleColumn {
  public:
-  /// Scanned unless blocklisted or excluded by the 30-day filter.
-  [[nodiscard]] static bool eligible(const InputDb::Meta& m) {
-    return !m.blocked && !m.excluded;
-  }
-
   /// Merge in the eligible rows of `db` added since the last call (all of
   /// them on the first call — a service restored from an archive starts
   /// here). The new rows are sorted on their own and merged in place from
   /// the back, and appended to insertion_rows().
   void catch_up(const InputDb& db);
 
-  /// Drop `gone` (addresses now excluded, any order). One sorted merge
-  /// pass over the column, then one over insertion_rows().
-  void drop(std::span<const Ipv6> gone);
+  /// Drop `gone` (addresses `db` now marks excluded, any order). One
+  /// sorted merge pass over the column; insertion_rows() drops the rows
+  /// `db` marks excluded.
+  void drop(const InputDb& db, std::span<const Ipv6> gone);
+
+  /// Call f(r) for each eligible row of `db` added since the last
+  /// catch_up, ascending: the rows the next catch_up(db) merges in.
+  template <class F>
+  void for_each_new_row(const InputDb& db, F&& f) const {
+    for (auto r = merged_; r < db.size(); ++r)
+      if (eligible(db.meta(r))) f(r);
+  }
 
   /// Set by_row[r], for every column row r, to whether any of
   /// `sorted_prefixes` (lexicographic (base, len) order, as
@@ -55,26 +59,25 @@ class EligibleColumn {
   [[nodiscard]] std::span<const std::uint32_t> insertion_rows() const {
     return by_row_;
   }
-  /// What insertion_rows() holds after catch_up(db), without changing the
-  /// column: its rows, then the eligible rows of `db` added since.
-  [[nodiscard]] std::vector<std::uint32_t> insertion_rows(
-      const InputDb& db) const;
-
  private:
+  /// Scanned unless blocklisted or excluded by the 30-day filter.
+  [[nodiscard]] static bool eligible(const InputDb::Meta& m) {
+    return !m.blocked && !m.excluded;
+  }
+
   std::vector<Ipv6> addrs_;
   std::vector<std::uint32_t> rows_;
   std::vector<std::uint32_t> by_row_;
   /// Input rows below this one have been offered to the column.
   std::uint32_t merged_ = 0;
   /// Scratch reused across steps: catch_up's new rows with their
-  /// addresses, drop's sorted addresses and their rows.
+  /// addresses, drop's sorted addresses.
   struct Fresh {
     Ipv6 addr;
     std::uint32_t row;
   };
   std::vector<Fresh> fresh_;
   std::vector<Ipv6> gone_;
-  std::vector<std::uint32_t> gone_rows_;
 };
 
 }  // namespace sixdust

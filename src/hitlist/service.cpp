@@ -110,10 +110,13 @@ void HitlistService::record_outcome(const ScanOutcome& outcome) {
 }
 
 std::vector<Ipv6> HitlistService::eligible_targets() const {
-  const std::vector<std::uint32_t> rows = eligible_.insertion_rows(input_);
+  const auto& all = input_.addresses();
   std::vector<Ipv6> targets;
-  targets.reserve(rows.size());
-  for (const std::uint32_t r : rows) targets.push_back(input_.addresses()[r]);
+  targets.reserve(eligible_.insertion_rows().size());
+  for (const std::uint32_t r : eligible_.insertion_rows())
+    targets.push_back(all[r]);
+  eligible_.for_each_new_row(
+      input_, [&](std::uint32_t r) { targets.push_back(all[r]); });
   return targets;
 }
 
@@ -243,7 +246,7 @@ HitlistService::ScanOutcome HitlistService::step(const World& world,
     }
   }
   std::sort(entry.responsive.begin(), entry.responsive.end());
-  eligible_.drop(std::span(excluded_order_).last(newly_excluded));
+  eligible_.drop(input_, std::span(excluded_order_).last(newly_excluded));
   bookkeeping_span.end();
 
   // 7. Yarrp traceroutes toward the (alias-filtered) targets; discovered
